@@ -31,6 +31,7 @@ reports can print both.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -183,6 +184,18 @@ DATASET_SPECS: Dict[str, DatasetSpec] = {
 }
 
 
+#: Per-dataset offset added to the generator seed: the values
+#: ``hash(key) % 1000`` takes under ``PYTHONHASHSEED=0``, the hash seed the
+#: benchmark pins, so its corpora stay bit-identical.  ``hash()`` itself
+#: is salted per process and would give every process different corpora.
+_SEED_SALTS = {"A": 510, "B": 209, "C": 179, "D": 756, "E": 34}
+
+
+def _seed_salt(key: str) -> int:
+    """The seed offset of dataset ``key``, identical in every process."""
+    return _SEED_SALTS.get(key, zlib.crc32(key.encode("utf-8")) % 1000)
+
+
 def list_datasets() -> List[str]:
     """Return the dataset keys in evaluation order (A..E)."""
     return sorted(DATASET_SPECS)
@@ -207,7 +220,7 @@ class SyntheticCorpusGenerator:
     def __init__(self, spec: DatasetSpec, seed: int = 2021) -> None:
         self.spec = spec
         self.seed = seed
-        self._rng = np.random.RandomState(seed + (hash(spec.key) % 1000))
+        self._rng = np.random.RandomState(seed + _seed_salt(spec.key))
         self._vocabulary = self._build_vocabulary()
         self._phrases = self._build_phrase_pool()
 

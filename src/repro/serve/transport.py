@@ -13,10 +13,13 @@ to each shard only through this interface.  Two implementations ship:
 
 :class:`ProcessTransport`
     The shard's serving core in a **spawned worker process**
-    (:func:`repro.serve.worker.worker_main`) behind a duplex pipe
-    speaking the length-prefixed :mod:`repro.serve.wire` codec.  This
-    buys true parallel CPU-side traversal (one GIL per shard) and crash
-    isolation: a dead worker — broken pipe, nonzero exit — surfaces as
+    (:func:`repro.serve.worker.worker_main`) behind a duplex pipe.
+    Every message is one :mod:`repro.serve.wire` frame: a length prefix
+    and a protocol-5 pickle restricted to an allowlist of wire types.
+    The transport spawns the worker and creates the pipe itself, and
+    that is the codec's trust boundary.  This buys true parallel
+    CPU-side traversal (one GIL per shard) and crash isolation: a dead
+    worker — broken pipe, nonzero exit — surfaces as
     :class:`ShardFailure`, which the router turns into a shard
     replacement and a re-route instead of a poisoned pool.
 
@@ -317,17 +320,16 @@ class ProcessTransport(ShardTransport):
 
     def session_keys(self):
         try:
-            keys = self._lane.submit(
+            return self._lane.submit(
                 self._roundtrip, ("session_keys", None)
             ).result()
         except ShardFailure:
             return []
-        return [(fingerprint, config) for fingerprint, config in keys]
 
     def drop_session(self, key):
         try:
             return self._lane.submit(
-                self._roundtrip, ("drop_session", {"key": list(key)})
+                self._roundtrip, ("drop_session", {"key": key})
             ).result()
         except ShardFailure:
             return False

@@ -2,45 +2,52 @@
 
 A :class:`~repro.serve.transport.ProcessTransport` talks to its worker
 over a byte pipe, so everything the serving data plane exchanges —
-queries, outcomes, corpus snapshots/deltas, stats — must cross a
-process boundary without relying on pickle (whose byte stream is
-neither stable across sessions nor safe to speak over a real socket
-later).  This module is that contract:
+queries, outcomes, corpus snapshots/deltas, stats — crosses a process
+boundary as one frame.  This module is that contract:
 
-* **Value codec.**  JSON scalars (``None``/``bool``/``int``/``float``/
-  ``str``) pass through untouched; every non-scalar value becomes a
-  two-element JSON array ``[tag, payload]``.  Scalars are never arrays,
-  so the encoding is unambiguous without escaping.  The codec is
-  *closed*: encoding a type it does not know raises ``TypeError``
-  instead of silently degrading, so a new field sneaking into a wire
-  type fails loudly in the round-trip tests rather than corrupting a
-  worker.
-* **Framing.**  :func:`encode_frame` prefixes the JSON body with its
+* **Trust boundary.**  Frames only travel between a router and the
+  worker processes it spawned itself, over the pipe it created for
+  them.  Inside that boundary the body codec is stdlib :mod:`pickle`,
+  protocol 5: each wire type's fields live only in its own class, and
+  the C pickler costs a fraction of a hand-written encoding.  The
+  allowlist below keeps the codec closed; it does not make pickle safe
+  to accept from a peer outside the boundary, such as a socket.
+* **Closed codec.**  Besides builtin scalars and containers, a body may
+  hold instances of exactly the classes in :data:`_WIRE_TYPES`.
+  Encoding any other instance, class or function raises ``TypeError``,
+  so a field that starts carrying an engine object fails loudly in the
+  round-trip tests instead of reaching a worker.  Decoding resolves
+  globals only from the same allowlist and raises :class:`WireError`
+  for any other name without importing or calling it.  A
+  :class:`RunOutcome` crosses with ``raw=None``: the engine-internal run
+  object stays behind, as it does for cached hits.
+* **Malformed bodies.**  Any failure to decode a correctly framed body
+  raises :class:`WireError`.  Before the unpickler runs, the body's
+  opcodes are walked once: only the opcodes protocol 5 emits for wire
+  values are accepted, and every length must end inside the body.
+  That keeps decoding bounded by the body's size — CPython's unpickler
+  sizes its memo from a ``PUT`` index before checking it.
+* **Framing.**  :func:`encode_frame` prefixes the body with its
   big-endian ``uint32`` length; :func:`decode_frame` verifies the
   prefix against the received byte count.  ``multiprocessing`` pipes
-  already preserve message boundaries, so the prefix is redundancy
-  there — an integrity tripwire against torn writes — and becomes the
-  actual record separator when the same codec runs over a raw socket.
+  already preserve message boundaries, so the prefix is an integrity
+  tripwire against torn writes.
 * **Corpus shipping.**  :func:`corpus_snapshot` captures a coherent
   full replica (content + ``uid``/``version``/``fingerprint`` identity)
   under the corpus lock; :func:`corpus_from_snapshot` and
   :func:`adopt_corpus_snapshot` rebuild it worker-side — adopting *in
   place* for a known uid, because serving cores rekey warm state by
   corpus object identity.
-
-Numeric values are coerced through ``int()``/``float()`` on encode, so
-numpy scalars inside task results arrive as plain Python numbers; JSON
-keeps the int/float distinction and round-trips floats exactly (repr
-round-trip), so decoded results compare bit-identical.
 """
 
 from __future__ import annotations
 
-import json
+import io
+import pickle
+import pickletools
 import struct
-from typing import Any, Dict, Optional, Tuple
-
-import numpy as np
+from dataclasses import replace
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analytics.base import Task
 from repro.api.outcome import PhasePerf, RunOutcome, RunPerf
@@ -63,8 +70,6 @@ from repro.serve.trace import MutationEvent
 
 __all__ = [
     "WireError",
-    "encode_value",
-    "decode_value",
     "encode_frame",
     "decode_frame",
     "corpus_snapshot",
@@ -77,268 +82,117 @@ __all__ = [
 #: Frame header: big-endian uint32 body length.
 _HEADER = struct.Struct(">I")
 
-#: One tag per encodable non-scalar type (arrays ``[tag, payload]``).
-_TAG_LIST = "L"
-_TAG_TUPLE = "T"
-_TAG_DICT = "D"
-_TAG_TASK = "K"
-_TAG_STRATEGY = "S"
-_TAG_RELATIONAL = "R"
-_TAG_QUERY = "q"
-_TAG_MUTATION = "M"
-_TAG_PHASE_PERF = "h"
-_TAG_RUN_PERF = "f"
-_TAG_OUTCOME = "O"
-_TAG_ENGINE_CONFIG = "G"
-_TAG_CACHE_STATS = "c"
-_TAG_SERVICE_STATS = "s"
+#: Pickle protocol of every body; no buffer travels out of band.
+_PROTOCOL = 5
+
+#: The classes whose instances a body may hold.  Numpy types are
+#: deliberately absent: no array or numpy scalar crosses the wire.
+_WIRE_TYPES = frozenset(
+    {
+        Task,
+        TraversalStrategy,
+        Query,
+        FrozenExtras,
+        RelationalQuery,
+        RowSchema,
+        FieldSpec,
+        Condition,
+        Aggregate,
+        MutationEvent,
+        PhasePerf,
+        RunPerf,
+        RunOutcome,
+        GTadocConfig,
+        CacheStats,
+        ServiceStats,
+    }
+)
+_GLOBALS = {(cls.__module__, cls.__qualname__): cls for cls in _WIRE_TYPES}
+
+#: The opcodes protocol 5 emits for wire values.  Text-argument, memo
+#: ``PUT``, extension-registry, persistent-id and out-of-band buffer
+#: opcodes are refused.
+_OPCODES = frozenset(
+    """PROTO FRAME STOP NONE NEWTRUE NEWFALSE BININT BININT1 BININT2 LONG1 LONG4
+    BINFLOAT SHORT_BINUNICODE BINUNICODE BINUNICODE8 SHORT_BINBYTES BINBYTES
+    BINBYTES8 BYTEARRAY8 EMPTY_LIST APPEND APPENDS EMPTY_DICT SETITEM SETITEMS
+    EMPTY_SET ADDITEMS FROZENSET EMPTY_TUPLE TUPLE TUPLE1 TUPLE2 TUPLE3 MARK POP
+    POP_MARK MEMOIZE BINGET LONG_BINGET STACK_GLOBAL NEWOBJ REDUCE BUILD""".split()
+)
+_STOP = pickle.STOP[0]
+
+
+def _opcode_steps() -> Tuple[List[Optional[int]], List[int]]:
+    """Per opcode byte: bytes to step over, and its length-prefix width.
+
+    The step covers the opcode and a fixed-size argument; it is ``0``
+    for ``STOP`` and for a length-prefixed argument (whose prefix width
+    is then non-zero), and ``None`` for a refused opcode.
+    """
+    prefix_widths = {
+        pickletools.TAKEN_FROM_ARGUMENT1: 1,
+        pickletools.TAKEN_FROM_ARGUMENT4: 4,
+        pickletools.TAKEN_FROM_ARGUMENT4U: 4,
+        pickletools.TAKEN_FROM_ARGUMENT8U: 8,
+    }
+    steps: List[Optional[int]] = [None] * 256
+    widths = [0] * 256
+    for opcode in pickletools.opcodes:
+        if opcode.name not in _OPCODES:
+            continue
+        code = ord(opcode.code)
+        size = opcode.arg.n if opcode.arg is not None else 0
+        if size in prefix_widths:
+            steps[code], widths[code] = 0, prefix_widths[size]
+        else:
+            steps[code] = 0 if code == _STOP else 1 + size
+    return steps, widths
+
+
+_STEPS, _PREFIX_WIDTHS = _opcode_steps()
 
 
 class WireError(ValueError):
     """A frame or payload that violates the wire contract."""
 
 
-# ----------------------------------------------------------------------------------------
-# Value codec
-# ----------------------------------------------------------------------------------------
-
-def _encode_relational(spec: RelationalQuery) -> Dict[str, Any]:
-    return {
-        "schema": {
-            "delimiter": spec.schema.delimiter,
-            "fields": [
-                [f.name, f.type, f.column, f.key] for f in spec.schema.fields
-            ],
-        },
-        "predicate": [[c.field, c.op, c.value] for c in spec.predicate],
-        "group_by": spec.group_by,
-        "aggregates": [[a.op, a.field] for a in spec.aggregates],
-        "order_by": spec.order_by,
-    }
+class _Pickler(pickle.Pickler):
+    def reducer_override(self, obj: Any) -> Any:
+        # Builtin scalars and containers are pickled before this hook.
+        cls = type(obj)
+        if cls is RunOutcome and obj.raw is not None:
+            return replace(obj, raw=None).__reduce_ex__(_PROTOCOL)
+        if cls in _WIRE_TYPES or (isinstance(obj, type) and obj in _WIRE_TYPES):
+            return NotImplemented
+        raise TypeError(f"wire codec cannot encode {cls.__name__}: {obj!r}")
 
 
-def _decode_relational(payload: Dict[str, Any]) -> RelationalQuery:
-    schema = RowSchema(
-        fields=tuple(
-            FieldSpec(name=name, type=type_, column=column, key=key)
-            for name, type_, column, key in payload["schema"]["fields"]
-        ),
-        delimiter=payload["schema"]["delimiter"],
-    )
-    return RelationalQuery(
-        schema=schema,
-        predicate=tuple(
-            Condition(field=field, op=op, value=value)
-            for field, op, value in payload["predicate"]
-        ),
-        group_by=payload["group_by"],
-        aggregates=tuple(
-            Aggregate(op=op, field=field) for op, field in payload["aggregates"]
-        ),
-        order_by=payload["order_by"],
-    )
+class _Unpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> Any:
+        try:
+            return _GLOBALS[module, name]
+        except KeyError:
+            raise WireError(f"wire codec refuses global {module}.{name}") from None
 
 
-def encode_value(value: Any) -> Any:
-    """Lower ``value`` to the tagged JSON-safe form (closed codec)."""
-    # The enums subclass ``str``, so they must be tagged *before* the
-    # scalar passthrough or they would decode as bare strings.
-    if isinstance(value, Task):
-        return [_TAG_TASK, value.value]
-    if isinstance(value, TraversalStrategy):
-        return [_TAG_STRATEGY, value.value]
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, list):
-        return [_TAG_LIST, [encode_value(item) for item in value]]
-    if isinstance(value, tuple):
-        return [_TAG_TUPLE, [encode_value(item) for item in value]]
-    if isinstance(value, (dict, FrozenExtras)):
-        return [
-            _TAG_DICT,
-            [[encode_value(key), encode_value(item)] for key, item in value.items()],
-        ]
-    if isinstance(value, RelationalQuery):
-        return [_TAG_RELATIONAL, _encode_relational(value)]
-    if isinstance(value, Query):
-        return [
-            _TAG_QUERY,
-            {
-                "task": value.task.value,
-                "sequence_length": value.sequence_length,
-                "top_k": value.top_k,
-                "files": list(value.files) if value.files is not None else None,
-                "terms": list(value.terms) if value.terms is not None else None,
-                "traversal": value.traversal.value if value.traversal else None,
-                "extras": [
-                    [key, encode_value(item)]
-                    for key, item in value.extras.items_tuple
-                ],
-            },
-        ]
-    if isinstance(value, MutationEvent):
-        return [
-            _TAG_MUTATION,
-            {
-                "kind": value.kind,
-                "documents": [[name, text] for name, text in value.documents],
-                "source": value.source,
-            },
-        ]
-    if isinstance(value, PhasePerf):
-        return [
-            _TAG_PHASE_PERF,
-            [value.kernel_launches, value.ops, value.memory_bytes, value.pcie_bytes],
-        ]
-    if isinstance(value, RunPerf):
-        return [
-            _TAG_RUN_PERF,
-            [encode_value(value.initialization), encode_value(value.traversal)],
-        ]
-    if isinstance(value, RunOutcome):
-        # ``raw`` holds engine-internal objects (device sessions, run
-        # records) that have no business crossing a process boundary;
-        # it is deliberately dropped, like the in-process result cache
-        # already does for cached hits.
-        return [
-            _TAG_OUTCOME,
-            {
-                "query": encode_value(value.query),
-                "backend": value.backend,
-                "task": value.task.value,
-                "result": encode_value(value.result),
-                "perf": encode_value(value.perf),
-                "details": encode_value(dict(value.details)),
-            },
-        ]
-    if isinstance(value, GTadocConfig):
-        return [
-            _TAG_ENGINE_CONFIG,
-            {
-                "sequence_length": value.sequence_length,
-                "oversize_threshold": value.oversize_threshold,
-                "max_group_size": value.max_group_size,
-                "use_memory_pool": value.use_memory_pool,
-                "needs_pcie_transfer": value.needs_pcie_transfer,
-                "kernel_mode": value.kernel_mode,
-            },
-        ]
-    if isinstance(value, CacheStats):
-        return [
-            _TAG_CACHE_STATS,
-            {
-                "capacity": value.capacity,
-                "size": value.size,
-                "hits": value.hits,
-                "misses": value.misses,
-                "evictions": value.evictions,
-                "invalidations": value.invalidations,
-                "expirations": value.expirations,
-                "weight_bytes": value.weight_bytes,
-                "weight_capacity": value.weight_capacity,
-                "ttl": value.ttl,
-            },
-        ]
-    if isinstance(value, ServiceStats):
-        return [
-            _TAG_SERVICE_STATS,
-            {
-                "queries": value.queries,
-                "executed_queries": value.executed_queries,
-                "micro_batches": value.micro_batches,
-                "coalesced_queries": value.coalesced_queries,
-                "kernel_launches": value.kernel_launches,
-                "shared_kernel_launches": value.shared_kernel_launches,
-                "session_cache": encode_value(value.session_cache),
-                "result_cache": encode_value(value.result_cache),
-            },
-        ]
-    raise TypeError(f"wire codec cannot encode {type(value).__name__}: {value!r}")
-
-
-def decode_value(encoded: Any) -> Any:
-    """Invert :func:`encode_value`."""
-    if encoded is None or isinstance(encoded, (bool, int, float, str)):
-        return encoded
-    if not isinstance(encoded, list) or len(encoded) != 2:
-        raise WireError(f"malformed wire value: {encoded!r}")
-    tag, payload = encoded
-    if tag == _TAG_LIST:
-        return [decode_value(item) for item in payload]
-    if tag == _TAG_TUPLE:
-        return tuple(decode_value(item) for item in payload)
-    if tag == _TAG_DICT:
-        return {decode_value(key): decode_value(item) for key, item in payload}
-    if tag == _TAG_TASK:
-        return Task.from_name(payload)
-    if tag == _TAG_STRATEGY:
-        return TraversalStrategy(payload)
-    if tag == _TAG_RELATIONAL:
-        return _decode_relational(payload)
-    if tag == _TAG_QUERY:
-        return Query(
-            task=Task.from_name(payload["task"]),
-            sequence_length=payload["sequence_length"],
-            top_k=payload["top_k"],
-            files=tuple(payload["files"]) if payload["files"] is not None else None,
-            terms=tuple(payload["terms"]) if payload["terms"] is not None else None,
-            traversal=(
-                TraversalStrategy(payload["traversal"])
-                if payload["traversal"] is not None
-                else None
-            ),
-            extras={key: decode_value(item) for key, item in payload["extras"]},
-        )
-    if tag == _TAG_MUTATION:
-        return MutationEvent(
-            kind=payload["kind"],
-            documents=tuple((name, text) for name, text in payload["documents"]),
-            source=payload["source"],
-        )
-    if tag == _TAG_PHASE_PERF:
-        launches, ops, memory_bytes, pcie_bytes = payload
-        return PhasePerf(
-            kernel_launches=launches,
-            ops=ops,
-            memory_bytes=memory_bytes,
-            pcie_bytes=pcie_bytes,
-        )
-    if tag == _TAG_RUN_PERF:
-        initialization, traversal = payload
-        return RunPerf(
-            initialization=decode_value(initialization),
-            traversal=decode_value(traversal),
-        )
-    if tag == _TAG_OUTCOME:
-        return RunOutcome(
-            query=decode_value(payload["query"]),
-            backend=payload["backend"],
-            task=Task.from_name(payload["task"]),
-            result=decode_value(payload["result"]),
-            perf=decode_value(payload["perf"]),
-            raw=None,
-            details=decode_value(payload["details"]),
-        )
-    if tag == _TAG_ENGINE_CONFIG:
-        return GTadocConfig(**payload)
-    if tag == _TAG_CACHE_STATS:
-        return CacheStats(**payload)
-    if tag == _TAG_SERVICE_STATS:
-        return ServiceStats(
-            queries=payload["queries"],
-            executed_queries=payload["executed_queries"],
-            micro_batches=payload["micro_batches"],
-            coalesced_queries=payload["coalesced_queries"],
-            kernel_launches=payload["kernel_launches"],
-            shared_kernel_launches=payload["shared_kernel_launches"],
-            session_cache=decode_value(payload["session_cache"]),
-            result_cache=decode_value(payload["result_cache"]),
-        )
-    raise WireError(f"unknown wire tag {tag!r}")
+def _check_opcodes(body: bytes) -> None:
+    """Walk ``body``'s opcodes without executing them (see module doc)."""
+    index, end = 0, len(body)
+    while index < end:
+        opcode = body[index]
+        step = _STEPS[opcode]
+        if step:
+            index += step
+        elif step is None:
+            raise WireError(f"opcode {opcode:#04x} at byte {index} is not in the wire format")
+        elif opcode == _STOP:
+            if index + 1 != end:
+                raise WireError(f"{end - index - 1} bytes follow the body's STOP")
+            return
+        else:
+            start = index + 1 + _PREFIX_WIDTHS[opcode]
+            index = start + int.from_bytes(body[index + 1:start], "little")
+    raise WireError("truncated body: no STOP within the frame")
 
 
 # ----------------------------------------------------------------------------------------
@@ -346,13 +200,15 @@ def decode_value(encoded: Any) -> Any:
 # ----------------------------------------------------------------------------------------
 
 def encode_frame(value: Any) -> bytes:
-    """One wire frame: uint32 body length + the JSON body."""
-    body = json.dumps(encode_value(value), separators=(",", ":")).encode("utf-8")
+    """One wire frame: uint32 body length + the pickled body."""
+    stream = io.BytesIO()
+    _Pickler(stream, _PROTOCOL).dump(value)
+    body = stream.getvalue()
     return _HEADER.pack(len(body)) + body
 
 
 def decode_frame(frame: bytes) -> Any:
-    """Decode one frame, verifying the length prefix against the bytes."""
+    """Decode one frame; every malformed frame raises :class:`WireError`."""
     if len(frame) < _HEADER.size:
         raise WireError(f"truncated frame: {len(frame)} bytes")
     (length,) = _HEADER.unpack_from(frame)
@@ -361,7 +217,13 @@ def decode_frame(frame: bytes) -> Any:
         raise WireError(
             f"frame length mismatch: header says {length} bytes, got {len(body)}"
         )
-    return decode_value(json.loads(body.decode("utf-8")))
+    _check_opcodes(body)
+    try:
+        return _Unpickler(io.BytesIO(body)).load()
+    except WireError:
+        raise
+    except Exception as error:
+        raise WireError(f"malformed wire body: {error!r}") from error
 
 
 # ----------------------------------------------------------------------------------------

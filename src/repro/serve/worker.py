@@ -10,8 +10,10 @@ host backs both deployment shapes:
   for the process path and for tests that want to poke the message
   surface without spawning);
 * **worker process** — :func:`worker_main` runs the host behind a
-  framed request/reply loop on a ``multiprocessing`` pipe, speaking the
-  :mod:`repro.serve.wire` codec.
+  framed request/reply loop on a ``multiprocessing`` pipe.  Frames are
+  :mod:`repro.serve.wire` pickles restricted to an allowlist of wire
+  types; they are trusted because only the transport that spawned this
+  worker holds the other end of the pipe.
 
 Corpus state crosses the boundary by ``uid``: the first time a router
 routes a corpus to a process shard it ships a full snapshot; later
@@ -21,14 +23,15 @@ refreshes it in place — the serving core rekeys warm sessions by corpus
 object identity when it observes a new epoch, so replacing the object
 would silently orphan every warm session the delta path exists to keep.
 
-Errors never kill the loop: an exception inside an op is serialized as
-an ``("error", ...)`` reply and re-raised caller-side; only a closed
-pipe (the parent died or told us to stop) ends the worker.
+Errors never kill the loop: an exception while decoding a request,
+running its op or encoding the result is sent as an ``("error", ...)``
+reply and re-raised caller-side; only a closed pipe (the parent died or
+told us to stop) ends the worker.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.compression.compressor import CompressedCorpus
 from repro.core.session import GTadocConfig
@@ -104,10 +107,9 @@ class ShardHost:
         if op == "stats":
             return self._service.stats()
         if op == "session_keys":
-            return [list(key) for key in self._service.session_keys()]
+            return self._service.session_keys()
         if op == "drop_session":
-            fingerprint, config = payload["key"]
-            return self._service.drop_session((fingerprint, config))
+            return self._service.drop_session(payload["key"])
         if op == "resident_sessions":
             return self._service.resident_sessions
         if op == "ping":
@@ -135,8 +137,8 @@ def worker_main(
 
     Runs in the spawned child.  ``engine_config``/``service_config`` are
     frozen scalar dataclasses and arrive through the spawn pickle; all
-    per-request traffic speaks the :mod:`repro.serve.wire` codec.  Every
-    op gets exactly one reply — ``("ok", result)`` or ``("error",
+    per-request traffic goes through :mod:`repro.serve.wire` frames.
+    Every op gets exactly one reply — ``("ok", result)`` or ``("error",
     {"type", "message"})`` — so the parent's request/reply lane never
     desynchronizes.
     """
@@ -146,19 +148,21 @@ def worker_main(
             frame = conn.recv_bytes()
         except (EOFError, OSError):
             break
+        op = None
         try:
             op, payload = wire.decode_frame(frame)
-            if op == "close":
-                conn.send_bytes(wire.encode_frame(("ok", None)))
-                break
-            reply: Tuple[str, Any] = ("ok", host.handle(op, payload))
+            result = None if op == "close" else host.handle(op, payload)
+            # Encoding is inside the boundary too: a result the codec
+            # refuses becomes an error reply, not a dead worker.
+            reply = wire.encode_frame(("ok", result))
         except Exception as error:
-            reply = (
-                "error",
-                {"type": type(error).__name__, "message": str(error)},
+            reply = wire.encode_frame(
+                ("error", {"type": type(error).__name__, "message": str(error)})
             )
         try:
-            conn.send_bytes(wire.encode_frame(reply))
+            conn.send_bytes(reply)
         except (BrokenPipeError, OSError):
+            break
+        if op == "close":
             break
     conn.close()

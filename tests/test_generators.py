@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.data.generators import (
     DATASET_SPECS,
@@ -92,3 +99,28 @@ class TestGeneration:
         generator = SyntheticCorpusGenerator(DATASET_SPECS["D"].scaled(0.01))
         corpus = generator.generate()
         assert all(doc.num_tokens >= 16 for doc in corpus)
+
+
+class TestCrossProcessDeterminism:
+    FINGERPRINTS = "5d2187e702d2 ce05c3616ce7 0e596c73a719 71bc825862b5 71a1c6f0e153"
+    SCRIPT = (
+        "from repro.compression.compressor import compress_corpus\n"
+        "from repro.data.generators import generate_dataset\n"
+        "print(' '.join(compress_corpus(generate_dataset(key, scale=0.05, seed=2021))"
+        ".fingerprint()[:12] for key in 'ABCDE'))\n"
+    )
+
+    def test_fingerprints_do_not_depend_on_the_hash_seed(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", self.SCRIPT],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+            ).stdout.strip()
+            for hash_seed in ("0", "7")
+        ]
+        assert outputs == [self.FINGERPRINTS, self.FINGERPRINTS]

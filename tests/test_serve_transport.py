@@ -425,6 +425,45 @@ class TestProcessTransportProtocol:
             assert outcome.result
             assert service.stats().shard_failures == 0
 
+    def test_unencodable_reply_keeps_the_worker_serving(self, monkeypatch):
+        import multiprocessing
+        import threading
+
+        from repro.serve import wire, worker
+
+        original = worker.ShardHost.handle
+
+        def handle(host, op, payload):
+            return object() if op == "stats" else original(host, op, payload)
+
+        monkeypatch.setattr(worker.ShardHost, "handle", handle)
+        parent, child = multiprocessing.Pipe()
+        thread = threading.Thread(
+            target=worker.worker_main,
+            args=(child, "boundary", None, ServiceConfig(coalesce_window=0.0)),
+            daemon=True,
+        )
+        thread.start()
+
+        def exchange(message):
+            parent.send_bytes(wire.encode_frame(message))
+            assert parent.poll(30.0), "worker sent no reply"
+            return wire.decode_frame(parent.recv_bytes())
+
+        try:
+            status, error = exchange(("stats", None))
+            assert status == "error"
+            assert error["type"] == "TypeError"
+            assert "cannot encode" in error["message"]
+            assert exchange(("ping", None)) == ("ok", "pong")
+            assert thread.is_alive()
+            assert exchange(("close", None)) == ("ok", None)
+        finally:
+            # Closing our end also stops a worker still waiting for a request.
+            parent.close()
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+
     def test_recv_tripwire_fires_under_witness_when_lock_held(self):
         from repro.analysis import lockcheck
         from repro.analysis.lockcheck import make_lock

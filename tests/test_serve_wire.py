@@ -1,9 +1,17 @@
 """Wire-codec tests: every serving data-plane type crosses the process
-boundary losslessly, frames verify their integrity, and the codec stays
-closed (unknown types fail loudly instead of degrading)."""
+boundary losslessly, frames verify their integrity, the codec stays
+closed (unknown types fail loudly instead of degrading), and every
+malformed body is a ``WireError``."""
 
 from __future__ import annotations
 
+import builtins
+import functools
+import os
+import pickle
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +37,11 @@ from repro.serve.trace import MutationEvent
 
 def roundtrip(value):
     return wire.decode_frame(wire.encode_frame(value))
+
+
+def framed(body: bytes) -> bytes:
+    """``body`` behind a correct length header."""
+    return struct.pack(">I", len(body)) + body
 
 
 RELATIONAL = RelationalQuery(
@@ -65,6 +78,8 @@ class TestValueCodec:
             {("tuple", "key"): {"nested": (1,)}},  # session keys
             Task.WORD_COUNT,
             TraversalStrategy.TOP_DOWN,
+            {1, 2, 3},
+            frozenset({"a", "b"}),
         ],
     )
     def test_scalars_and_containers(self, value):
@@ -128,10 +143,19 @@ class TestValueCodec:
         assert isinstance(decoded.session_cache, CacheStats)
 
     def test_codec_is_closed(self):
-        with pytest.raises(TypeError, match="cannot encode"):
-            wire.encode_value({1, 2, 3})
-        with pytest.raises(TypeError, match="cannot encode"):
-            wire.encode_frame(object())
+        refused = [
+            object(),
+            np.int64(3),
+            np.float64(0.5),
+            np.arange(3),
+            {"nested": [complex(1, 2)]},
+            type("LocalPerf", (PhasePerf,), {})(),  # subclasses are not allowlisted
+            Corpus,
+            len,
+        ]
+        for value in refused:
+            with pytest.raises(TypeError, match="cannot encode"):
+                wire.encode_frame(value)
 
 
 class TestFraming:
@@ -144,17 +168,48 @@ class TestFraming:
         with pytest.raises(wire.WireError, match="length mismatch"):
             wire.decode_frame(frame[:-1])
 
-    def test_unknown_tag_rejected(self):
-        import json
-        import struct
+    def test_unknown_global_rejected(self):
+        # A well-formed pickle of a class outside the allowlist.
+        body = pickle.dumps(Corpus, protocol=5)
+        with pytest.raises(wire.WireError, match="refuses global repro.data.corpus.Corpus"):
+            wire.decode_frame(framed(body))
 
-        body = json.dumps(["Z", "payload"]).encode("utf-8")
-        with pytest.raises(wire.WireError, match="unknown wire tag"):
-            wire.decode_frame(struct.pack(">I", len(body)) + body)
+    def test_malformed_body_rejected(self):
+        body = wire.encode_frame(["tokens", (1, 2)])[4:]
+        with pytest.raises(wire.WireError, match="truncated body"):
+            wire.decode_frame(framed(body[:-1]))
+        with pytest.raises(wire.WireError, match="follow the body's STOP"):
+            wire.decode_frame(framed(body + body))
+        # Valid opcodes in an order the unpickler cannot execute.
+        with pytest.raises(wire.WireError, match="malformed wire body"):
+            wire.decode_frame(framed(b"\x80\x05e."))
 
-    def test_malformed_value_rejected(self):
-        with pytest.raises(wire.WireError, match="malformed"):
-            wire.decode_value(["L", [], "extra"])
+    @pytest.mark.parametrize("module, name", [("os", "system"), ("builtins", "eval")])
+    def test_dangerous_globals_are_never_called(self, monkeypatch, module, name):
+        calls = []
+        monkeypatch.setattr(
+            {"os": os, "builtins": builtins}[module], name, lambda *args: calls.append(args)
+        )
+        module_bytes, name_bytes = module.encode(), name.encode()
+        bodies = [
+            # Protocol 0: GLOBAL, then REDUCE on a one-string tuple.
+            b"c" + module_bytes + b"\n" + name_bytes + b"\n(S'echo hi'\ntR.",
+            # Protocol 4+: STACK_GLOBAL, then REDUCE.
+            b"\x80\x05\x8c" + bytes([len(module_bytes)]) + module_bytes
+            + b"\x8c" + bytes([len(name_bytes)]) + name_bytes
+            + b"\x93\x8c\x07echo hi\x85R.",
+        ]
+        for body in bodies:
+            with pytest.raises(wire.WireError):
+                wire.decode_frame(framed(body))
+        assert calls == []
+
+    def test_memo_index_cannot_size_the_decoder(self):
+        # LONG_BINPUT at index 2**24: CPython's unpickler would grow its
+        # memo to 2**25 slots before noticing anything wrong.
+        body = b"\x80\x05Nr" + struct.pack("<I", 1 << 24) + b"."
+        with pytest.raises(wire.WireError, match="not in the wire format"):
+            wire.decode_frame(framed(body))
 
 
 class TestTraceSpaceProperty:
@@ -179,6 +234,53 @@ class TestTraceSpaceProperty:
             decoded = roundtrip(item)
             assert decoded == item
             assert type(decoded) is type(item)
+
+
+@functools.lru_cache(maxsize=None)
+def _real_bodies():
+    """Frame bodies of the messages a process shard exchanges."""
+    compressed = compress_corpus(
+        Corpus.from_texts({"a.txt": "alpha beta gamma " * 30, "b.txt": "beta delta " * 25})
+    )
+    service = AnalyticsService()
+    outcome = service.submit(Query(task=Task.INVERTED_INDEX, top_k=3), source=compressed)
+    relational = Query(task=Task.RELATIONAL, extras={"relational": RELATIONAL})
+    messages = [
+        ("ok", outcome),
+        ("ok", service.stats()),
+        ("snapshot", wire.corpus_snapshot(compressed)),
+        ("submit", {"uid": compressed.uid, "query": relational, "engine_config": GTadocConfig()}),
+    ]
+    return [wire.encode_frame(message)[4:] for message in messages]
+
+
+@st.composite
+def malformed_bodies(draw):
+    body = bytearray(draw(st.sampled_from(_real_bodies())))
+    how = draw(st.sampled_from(("truncate", "flip", "random")))
+    if how == "truncate":
+        return bytes(body[: draw(st.integers(0, len(body) - 1))])
+    if how == "flip":
+        positions = st.integers(0, len(body) - 1)
+        for position, mask in draw(
+            st.lists(st.tuples(positions, st.integers(1, 255)), min_size=1, max_size=8)
+        ):
+            body[position] ^= mask
+        return bytes(body)
+    return draw(st.binary(max_size=256))
+
+
+class TestMalformedBodies:
+    """Fuzzed bodies behind a correct header either decode or raise
+    ``WireError`` — never another exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=malformed_bodies())
+    def test_every_malformed_body_is_a_wire_error(self, body):
+        try:
+            wire.decode_frame(framed(body))
+        except wire.WireError:
+            pass
 
 
 class TestCorpusShipping:
