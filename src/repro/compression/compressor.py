@@ -128,6 +128,35 @@ class CompressedCorpus:
         builder: Optional[_OnlineGrammarBuilder] = None,
     ) -> None:
         self.name = name
+        #: Mutation epoch: bumped once per successful mutation call.
+        self.version = 0
+        self._uid: Optional[str] = None
+        #: Recent mutations as ``(resulting version, kind)`` — sessions
+        #: consult this to pick the delta path (append) over a rebuild.
+        self._mutation_log: List[Tuple[int, str]] = []
+        #: Serializes mutations against readers that need a coherent
+        #: multi-attribute view (sessions snapshotting a layout, the
+        #: serving layer pairing version with fingerprint).
+        self.lock = make_lock("corpus", reentrant=True)
+        self._install_epoch(dictionary, grammar, file_names, splitter_ids, original_size_bytes, original_tokens, builder)
+
+    def _install_epoch(
+        self,
+        dictionary: Dictionary,
+        grammar: Grammar,
+        file_names: Sequence[str],
+        splitter_ids: Sequence[int],
+        original_size_bytes: int,
+        original_tokens: int,
+        builder: Optional[_OnlineGrammarBuilder] = None,
+        kind: Optional[str] = None,
+    ) -> None:
+        """Swap in one epoch's content and derive every field computed from it.
+
+        ``kind`` names the mutation that produced the epoch; it bumps
+        ``version`` and enters the mutation log.  Mutators hold the lock.
+        """
+        self._builder = builder
         self.dictionary = dictionary
         self.grammar = grammar
         self.file_names = list(file_names)
@@ -138,17 +167,10 @@ class CompressedCorpus:
         self._splitter_set = set(self.splitter_ids)
         self._root_segments = self._compute_root_segments()
         self._fingerprint: Optional[str] = None
-        #: Mutation epoch: bumped once per successful mutation call.
-        self.version = 0
-        self._uid: Optional[str] = None
-        self._builder = builder
-        #: Recent mutations as ``(resulting version, kind)`` — sessions
-        #: consult this to pick the delta path (append) over a rebuild.
-        self._mutation_log: List[Tuple[int, str]] = []
-        #: Serializes mutations against readers that need a coherent
-        #: multi-attribute view (sessions snapshotting a layout, the
-        #: serving layer pairing version with fingerprint).
-        self.lock = make_lock("corpus", reentrant=True)
+        if kind is not None:
+            self.version += 1
+            self._mutation_log.append((self.version, kind))
+            del self._mutation_log[:-64]
 
     # -- identity ------------------------------------------------------------------
     def fingerprint(self) -> str:
@@ -226,32 +248,6 @@ class CompressedCorpus:
             self._builder = builder
         return self._builder
 
-    def _adopt_snapshot(
-        self,
-        builder: _OnlineGrammarBuilder,
-        file_names: Sequence[str],
-        original_size_bytes: int,
-        original_tokens: int,
-        kind: str,
-    ) -> None:
-        """Swap in a new epoch's content and invalidate every memo."""
-        dictionary, grammar, splitter_ids = builder.snapshot()
-        with self.lock:
-            self._builder = builder
-            self.dictionary = dictionary
-            self.grammar = grammar
-            self.file_names = list(file_names)
-            self.splitter_ids = list(splitter_ids)
-            self.original_size_bytes = original_size_bytes
-            self.original_tokens = original_tokens
-            self.dag = GrammarDAG(grammar)
-            self._splitter_set = set(self.splitter_ids)
-            self._root_segments = self._compute_root_segments()
-            self._fingerprint = None
-            self.version += 1
-            self._mutation_log.append((self.version, kind))
-            del self._mutation_log[:-64]
-
     def mutations_since(self, version: int) -> Optional[List[str]]:
         """Mutation kinds applied after ``version``, oldest first.
 
@@ -287,20 +283,9 @@ class CompressedCorpus:
         replays the adopted content through :meth:`_ensure_builder`.
         """
         with self.lock:
-            self._builder = None
-            self.dictionary = dictionary
-            self.grammar = grammar
-            self.file_names = list(file_names)
-            self.splitter_ids = list(splitter_ids)
-            self.original_size_bytes = original_size_bytes
-            self.original_tokens = original_tokens
-            self.dag = GrammarDAG(grammar)
-            self._splitter_set = set(self.splitter_ids)
-            self._root_segments = self._compute_root_segments()
-            self._fingerprint = None
-            self.version += 1
-            self._mutation_log.append((self.version, "rebuild"))
-            del self._mutation_log[:-64]
+            self._install_epoch(
+                dictionary, grammar, file_names, splitter_ids, original_size_bytes, original_tokens, kind="rebuild"
+            )
 
     def align_replica(
         self, *, uid: str, version: int, fingerprint: Optional[str] = None
@@ -364,11 +349,15 @@ class CompressedCorpus:
             builder = self._ensure_builder()
             for document in new_documents:
                 builder.append_document(document.tokens)
-            self._adopt_snapshot(
-                builder,
+            dictionary, grammar, splitter_ids = builder.snapshot()
+            self._install_epoch(
+                dictionary,
+                grammar,
                 self.file_names + [document.name for document in new_documents],
+                splitter_ids,
                 self.original_size_bytes + sum(d.size_bytes for d in new_documents),
                 self.original_tokens + sum(d.num_tokens for d in new_documents),
+                builder,
                 kind="append",
             )
 
@@ -439,7 +428,8 @@ class CompressedCorpus:
             kept_names.append(file_name)
             total_tokens += len(tokens)
             total_bytes += size
-        self._adopt_snapshot(builder, kept_names, total_bytes, total_tokens, kind="rebuild")
+        dictionary, grammar, splitter_ids = builder.snapshot()
+        self._install_epoch(dictionary, grammar, kept_names, splitter_ids, total_bytes, total_tokens, builder, kind="rebuild")
 
     # -- file segmentation -------------------------------------------------------
     def _compute_root_segments(self) -> List[Tuple[int, int]]:

@@ -151,25 +151,29 @@ class Grammar:
         return lengths
 
     def _bottom_up_order(self) -> List[int]:
-        """Rule ids ordered so every rule appears after all rules it references."""
+        """Rule ids ordered so every rule appears after all rules it references.
+
+        Each stack frame keeps an iterator over its rule's body, so the
+        walk reads every symbol once: O(:meth:`total_symbols`).
+        """
         order: List[int] = []
         state = [0] * len(self.rules)  # 0 unvisited, 1 in progress, 2 done
         for start in range(len(self.rules)):
             if state[start] == 2:
                 continue
-            stack: List[Tuple[int, int]] = [(start, 0)]
+            stack: List[Tuple[int, Iterator[int]]] = [(start, iter(self.rules[start].symbols))]
             state[start] = 1
             while stack:
-                rule_id, child_index = stack[-1]
-                children = self.rules[rule_id].subrule_ids()
-                if child_index < len(children):
-                    stack[-1] = (rule_id, child_index + 1)
-                    child = children[child_index]
-                    if state[child] == 0:
-                        state[child] = 1
-                        stack.append((child, 0))
-                    elif state[child] == 1:
-                        raise ValueError("grammar contains a cycle")
+                rule_id, body = stack[-1]
+                for symbol in body:
+                    if is_rule_ref(symbol):
+                        child = rule_ref_id(symbol)
+                        if state[child] == 0:
+                            state[child] = 1
+                            stack.append((child, iter(self.rules[child].symbols)))
+                            break
+                        if state[child] == 1:
+                            raise ValueError("grammar contains a cycle")
                 else:
                     stack.pop()
                     state[rule_id] = 2

@@ -14,6 +14,24 @@ from repro.compression.grammar import (
 )
 
 
+class _CountingBody(list):
+    """A rule body that adds every symbol read from it to a shared tally."""
+
+    def __init__(self, symbols, tally):
+        super().__init__(symbols)
+        self.tally = tally
+
+    def __iter__(self):
+        for symbol in super().__iter__():
+            self.tally[0] += 1
+            yield symbol
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        self.tally[0] += len(item) if isinstance(index, slice) else 1
+        return item
+
+
 def build_example_grammar() -> Grammar:
     """The Figure 1 grammar: R0 -> R1 R1 spt R2 w1, R1 -> R2 w3 R2 w4, R2 -> w1 w2.
 
@@ -98,12 +116,33 @@ class TestGrammar:
         expected = [0, 1, 2, 0, 1, 3] * 2 + [4, 0, 1, 0]
         assert grammar.expand_root() == expected
 
-    def test_expansion_lengths(self):
+    def test_expansion_lengths(self, few_files_compressed):
         grammar = build_example_grammar()
         lengths = grammar.expansion_lengths()
         assert lengths[2] == 2
         assert lengths[1] == 6
         assert lengths[0] == 16
+        generated = few_files_compressed.grammar
+        lengths = generated.expansion_lengths()
+        assert len(lengths) == len(generated)
+        for rule in generated:
+            assert lengths[rule.rule_id] == len(generated.expand_rule(rule.rule_id))
+
+    def test_expansion_lengths_read_each_symbol_a_bounded_number_of_times(self):
+        # A wide root over 2,000 two-terminal rules, each referenced twice:
+        # a walk that rescans the root per child reads ~16M symbols.
+        tally = [0]
+        num_children = 2_000
+        root = [make_rule_ref(child) for child in range(1, num_children + 1)] * 2
+        rules = [Rule(0, _CountingBody(root, tally))]
+        for child in range(1, num_children + 1):
+            rules.append(Rule(child, _CountingBody([2 * child, 2 * child + 1], tally)))
+        grammar = Grammar(rules)
+        assert grammar.total_symbols() == 8_000
+        tally[0] = 0
+        lengths = grammar.expansion_lengths()
+        assert lengths[0] == 2 * num_children * 2
+        assert tally[0] <= 3 * grammar.total_symbols()
 
     def test_total_symbols(self):
         grammar = build_example_grammar()
