@@ -35,7 +35,7 @@ from repro.serve.aio import (
     AsyncQueryCoalescer,
     AsyncServeBackend,
 )
-from repro.serve.caches import CacheStats, LRUCache, approx_size_bytes
+from repro.serve.caches import CacheStats, LRUCache
 from repro.serve.coalescer import BatchSlot, CoalescedRequest, QueryCoalescer
 from repro.serve.replay import (
     ReplayReport,
@@ -79,7 +79,6 @@ __all__ = [
     "create_transport",
     "CacheStats",
     "LRUCache",
-    "approx_size_bytes",
     "QueryCoalescer",
     "AsyncQueryCoalescer",
     "BatchSlot",

@@ -11,8 +11,8 @@ here.
 Beyond the entry-count bound, a cache may carry
 
 * a **byte budget** (``max_weight_bytes``): every entry is inserted with
-  a weight (the result cache weighs entries by approximate result size,
-  see :func:`approx_size_bytes`) and the least recently used entries are
+  a weight (the result cache weighs an entry by the length of its
+  pickled result snapshot) and the least recently used entries are
   evicted until the total weight fits the budget.  An entry heavier than
   the whole budget is never retained.
 * a **TTL** (``ttl`` seconds): entries older than the TTL are dropped on
@@ -26,35 +26,14 @@ Both knobs surface in :class:`CacheStats` (``weight_bytes``,
 
 from __future__ import annotations
 
-import sys
 import time
 from collections import OrderedDict
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.analysis.lockcheck import make_lock
 
-__all__ = ["CacheStats", "LRUCache", "approx_size_bytes"]
-
-
-def approx_size_bytes(value: Any) -> int:
-    """Approximate deep in-memory size of a (result-shaped) object.
-
-    Walks mappings and sequences of scalars — the shapes task results
-    take — summing ``sys.getsizeof``.  Shared references are counted
-    each time they appear and cycles are not supported (results are
-    plain data): this is a cache-weighing heuristic, not an exact
-    measurement.
-    """
-    size = sys.getsizeof(value)
-    if isinstance(value, Mapping):
-        for key, item in value.items():
-            size += approx_size_bytes(key) + approx_size_bytes(item)
-    elif isinstance(value, (list, tuple, set, frozenset)):
-        for item in value:
-            size += approx_size_bytes(item)
-    return size
+__all__ = ["CacheStats", "LRUCache"]
 
 
 @dataclass(frozen=True)
@@ -312,10 +291,11 @@ class LRUCache:
         corpus advancing an epoch changes its fingerprint) and the
         resident value — warm device state — should follow rather than
         be rebuilt.  ``when`` (evaluated under the lock, on the value)
-        can make the move identity-precise.  The move keeps the entry's
-        recency and weight; an existing entry at ``new_key`` is
-        replaced.  Returns the moved value, or ``None`` if nothing
-        matched.
+        can make the move identity-precise.  The moved entry keeps its
+        weight and becomes the most recently used: its one caller rekeys
+        the session the current query is about to use.  An existing
+        entry at ``new_key`` is replaced.  Returns the moved value, or
+        ``None`` if nothing matched.
         """
         with self._lock:
             entry = self._entries.get(old_key)
@@ -326,7 +306,6 @@ class LRUCache:
             if displaced is not None:
                 self._weight -= displaced.weight
             self._entries[new_key] = entry
-            self._entries.move_to_end(new_key)
             return entry.value
 
     def clear(self) -> int:

@@ -38,7 +38,7 @@ front the same registry every other engine sits behind.
 
 from __future__ import annotations
 
-import copy
+import pickle
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -52,7 +52,7 @@ from repro.compression.compressor import CompressedCorpus
 from repro.core.engine import GTadoc
 from repro.core.session import GTadocConfig
 from repro.data.corpus import Corpus
-from repro.serve.caches import CacheStats, LRUCache, approx_size_bytes
+from repro.serve.caches import CacheStats, LRUCache
 from repro.serve.coalescer import BatchSlot, CoalescedRequest, QueryCoalescer
 
 __all__ = ["ServiceConfig", "ServiceStats", "ServingCore", "AnalyticsService", "CorpusMemo"]
@@ -120,9 +120,9 @@ class ServiceConfig:
     max_batch_size: int = 16
     #: Bound on memoized raw-corpus compressions (oldest dropped first).
     corpus_memo_capacity: int = 32
-    #: Byte budget on the result cache: entries are weighed by
-    #: approximate result size and evicted LRU-first past the budget
-    #: (``None`` = entry-count bound only).
+    #: Byte budget on the result cache: entries are weighed by the
+    #: length of their pickled snapshot and evicted LRU-first past the
+    #: budget (``None`` = entry-count bound only).
     result_cache_bytes: Optional[int] = None
     #: Seconds a cached result stays servable (``None`` = no TTL).
     result_cache_ttl: Optional[float] = None
@@ -205,22 +205,25 @@ class _SessionEntry:
 
 @dataclass(frozen=True)
 class _CachedResult:
-    """What the result cache stores: the shaped result + the strategy used.
+    """What the result cache stores: a snapshot of the shaped result + the strategy used.
 
-    The stored result is a private deep copy and every hit hands out a
-    fresh copy, so no caller mutation can poison the cache (or another
-    caller's outcome) and the bit-identical-to-serial guarantee holds.
+    The snapshot is the result pickled once at write-back.  Bytes cannot
+    be mutated, and every hit decodes an independent object graph of the
+    same types from them, so no caller mutation can poison the cache (or
+    another caller's outcome) and the bit-identical-to-serial guarantee
+    holds.  The snapshot's length is the entry's exact weight under a
+    byte budget.
     """
 
-    result: object
+    snapshot: bytes
     strategy: Optional[str]
 
     @classmethod
     def of(cls, result: object, strategy: Optional[str]) -> "_CachedResult":
-        return cls(result=copy.deepcopy(result), strategy=strategy)
+        return cls(snapshot=pickle.dumps(result, protocol=5), strategy=strategy)
 
     def fresh_result(self) -> object:
-        return copy.deepcopy(self.result)
+        return pickle.loads(self.snapshot)
 
 
 @dataclass
@@ -477,18 +480,14 @@ class ServingCore:
             return False
         if prepared.cache_key in self._results:
             # A coalesced peer already stored this identical (deterministic)
-            # result; skip the redundant deep copy and weighing.  A resident
-            # entry is never stale here: invalidation removes entries before
-            # any same-key write-back can observe them.
+            # result; skip the redundant snapshot.  A resident entry is
+            # never stale here: invalidation removes entries before any
+            # same-key write-back can observe them.
             return False
         entry = _CachedResult.of(outcome.result, outcome.details.get("strategy"))
-        # Weighing walks the whole result; only pay for it when a byte
-        # budget actually consumes the weight.
-        weight = (
-            approx_size_bytes(entry.result)
-            if self.config.result_cache_bytes is not None
-            else 1
-        )
+        # Without a budget entries keep unit weight, so the cache's
+        # ``weight_bytes`` keeps counting entries.
+        weight = len(entry.snapshot) if self.config.result_cache_bytes is not None else 1
         return self._results.put_if(
             prepared.cache_key,
             entry,

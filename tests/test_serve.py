@@ -10,6 +10,8 @@ corpus change.
 
 from __future__ import annotations
 
+import asyncio
+import copy
 import threading
 
 import pytest
@@ -30,13 +32,14 @@ from repro.core.strategy import TraversalStrategy
 from repro.data.corpus import Corpus
 from repro.serve import (
     AnalyticsService,
+    AsyncAnalyticsService,
     LRUCache,
     ServiceConfig,
     TraceConfig,
-    approx_size_bytes,
     replay_trace,
     synthesize_trace,
 )
+from repro.serve.trace import default_relational_specs
 
 NUM_THREADS = 8
 
@@ -199,18 +202,28 @@ class TestLRUCacheTTL:
         assert stats.hits == 0 and stats.misses == 0  # no counter was touched
 
 
-class TestApproxSize:
-    def test_grows_with_content(self):
-        small = approx_size_bytes({"a": 1})
-        large = approx_size_bytes({f"word{i}": i for i in range(100)})
-        assert large > small > 0
-
-    def test_walks_nested_results(self):
-        flat = approx_size_bytes({"f": {}})
-        nested = approx_size_bytes({"f": {"w": 1, "x": 2}})
-        assert nested > flat
-        postings = approx_size_bytes({"w": [("file", 3)] * 10})
-        assert postings > approx_size_bytes({"w": []})
+class TestLRUCacheRekey:
+    def test_rekeyed_entry_becomes_most_recent_and_keeps_its_weight(self):
+        cache = LRUCache(3, max_weight_bytes=100)
+        cache.put("old", "warm", weight=10)  # least recently used
+        cache.put("other", 2, weight=20)
+        cache.put("new", "displaced", weight=30)
+        before = cache.stats()
+        assert cache.rekey("old", "new") == "warm"
+        after = cache.stats()
+        # The moved entry keeps its 10; the displaced entry's 30 leaves.
+        assert after.weight_bytes == 10 + 20
+        assert after.size == 2
+        counters = ("hits", "misses", "evictions", "invalidations", "expirations")
+        assert [getattr(after, name) for name in counters] == [
+            getattr(before, name) for name in counters
+        ]
+        # Most recent: of the entries resident before the move, it goes last.
+        assert cache.keys() == ["other", "new"]
+        cache.put("a", 3)
+        cache.put("b", 4)  # past capacity: "other" goes first
+        assert cache.keys() == ["new", "a", "b"]
+        assert cache.get("new") == "warm"
 
 
 # ----------------------------------------------------------------------------------------
@@ -419,6 +432,51 @@ class TestServiceConcurrency:
         assert len(service._corpus_memo) <= 2
 
 
+#: One query per task, relational included.
+_EVERY_TASK = [Query(task=task) for task in Task.all()] + [
+    Query(task=Task.RELATIONAL, extras={"relational": default_relational_specs()[1]})
+]
+
+
+def _vandalize(result) -> None:
+    """What a badly behaved caller does: mutate the deepest level, then clear the top."""
+    for value in result.values() if isinstance(result, dict) else result:
+        if isinstance(value, list):
+            value.append(("vandal", 10**9))  # a posting list
+        elif isinstance(value, dict):
+            value["vandal"] = 10**9  # a term vector's inner dict
+    result.clear()
+
+
+def _assert_type_exact(actual, expected, path: str) -> None:
+    """Equal, with the same container type at every level and the same key order."""
+    assert type(actual) is type(expected), f"{path}: {type(actual).__name__}"
+    if isinstance(expected, dict):
+        assert len(actual) == len(expected), path
+        for (key, value), (want_key, want_value) in zip(actual.items(), expected.items()):
+            _assert_type_exact(key, want_key, f"{path} key {want_key!r}")
+            _assert_type_exact(value, want_value, f"{path}[{want_key!r}]")
+    elif isinstance(expected, (list, tuple)):
+        assert len(actual) == len(expected), path
+        for index, (item, want) in enumerate(zip(actual, expected)):
+            _assert_type_exact(item, want, f"{path}[{index}]")
+    else:
+        assert actual == expected, path
+
+
+def _assert_hits_isolated(submit, query: Query) -> None:
+    """Mutating a miss, then each hit, must leave every next hit pristine."""
+    miss = submit(query)
+    assert miss.details["result_cache"] == "miss"
+    pristine = copy.deepcopy(miss.result)
+    _vandalize(miss.result)
+    for _ in range(2):
+        hit = submit(query)
+        assert hit.details["result_cache"] == "hit"
+        _assert_type_exact(hit.result, pristine, query.task.value)
+        _vandalize(hit.result)
+
+
 class TestServiceCaching:
     def test_repeated_query_hits_result_cache(self, tiny_compressed):
         service = AnalyticsService(tiny_compressed)
@@ -440,17 +498,22 @@ class TestServiceCaching:
         )
         assert again.details["result_cache"] == "hit"
 
-    def test_cache_hits_are_isolated_from_caller_mutation(self, tiny_compressed):
-        service = AnalyticsService(tiny_compressed)
-        query = Query(task=Task.WORD_COUNT)
-        first = service.submit(query)
-        pristine = dict(first.result)
-        first.result["the"] = 10**9  # a badly behaved caller
-        second = service.submit(query)
-        assert second.details["result_cache"] == "hit"
-        assert second.result == pristine
-        second.result.clear()
-        assert service.submit(query).result == pristine
+    def test_cache_hits_are_isolated_from_caller_mutation(self, few_files_compressed):
+        service = AnalyticsService(few_files_compressed)
+        for query in _EVERY_TASK:
+            _assert_hits_isolated(service.submit, query)
+
+    def test_async_cache_hits_are_isolated_from_caller_mutation(self, few_files_compressed):
+        service = AsyncAnalyticsService(few_files_compressed)
+        loop = asyncio.new_event_loop()
+        try:
+            _assert_hits_isolated(
+                lambda query: loop.run_until_complete(service.submit(query)),
+                Query(task=Task.RANKED_INVERTED_INDEX),
+            )
+        finally:
+            loop.close()
+            service.close()
 
     def test_misses_equal_executed_queries(self, tiny_compressed):
         service = AnalyticsService(tiny_compressed)
@@ -821,8 +884,8 @@ class TestServiceResultCachePolicy:
         assert service.stats().result_cache.weight_bytes > small * 2
 
     def test_weighing_is_skipped_without_a_budget(self, tiny_compressed):
-        # The default (unweighted) cache must not pay the deep result
-        # walk: entries carry unit weight.
+        # Without a budget no weight is consumed, so the default cache
+        # counts entries: each carries unit weight, not its snapshot size.
         service = AnalyticsService(tiny_compressed)
         service.submit(Query(task=Task.INVERTED_INDEX))
         stats = service.stats().result_cache

@@ -12,6 +12,9 @@ wrong answer.
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
+import threading
 from concurrent.futures import Future
 
 import pytest
@@ -33,6 +36,7 @@ from repro.serve import (
     replay_trace_sharded,
     synthesize_trace,
 )
+from repro.serve import wire, worker
 from repro.serve.trace import MutationEvent, default_relational_specs
 
 
@@ -408,6 +412,31 @@ class TestCrashIsolation:
 # Worker-side errors and the witness tripwire
 # ----------------------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _threaded_worker(name: str):
+    """``worker_main`` on a thread over a pipe; yields ``(exchange, thread)``."""
+    parent, child = multiprocessing.Pipe()
+    thread = threading.Thread(
+        target=worker.worker_main,
+        args=(child, name, None, ServiceConfig(coalesce_window=0.0)),
+        daemon=True,
+    )
+    thread.start()
+
+    def exchange(message):
+        parent.send_bytes(wire.encode_frame(message))
+        assert parent.poll(30.0), "worker sent no reply"
+        return wire.decode_frame(parent.recv_bytes())
+
+    try:
+        yield exchange, thread
+    finally:
+        # Closing our end also stops a worker still waiting for a request.
+        parent.close()
+        thread.join(timeout=30.0)
+    assert not thread.is_alive()
+
+
 class TestProcessTransportProtocol:
     def test_worker_errors_cross_the_wire_as_exceptions(self):
         compressed = compress_corpus(_corpus("err"))
@@ -426,31 +455,13 @@ class TestProcessTransportProtocol:
             assert service.stats().shard_failures == 0
 
     def test_unencodable_reply_keeps_the_worker_serving(self, monkeypatch):
-        import multiprocessing
-        import threading
-
-        from repro.serve import wire, worker
-
         original = worker.ShardHost.handle
 
         def handle(host, op, payload):
             return object() if op == "stats" else original(host, op, payload)
 
         monkeypatch.setattr(worker.ShardHost, "handle", handle)
-        parent, child = multiprocessing.Pipe()
-        thread = threading.Thread(
-            target=worker.worker_main,
-            args=(child, "boundary", None, ServiceConfig(coalesce_window=0.0)),
-            daemon=True,
-        )
-        thread.start()
-
-        def exchange(message):
-            parent.send_bytes(wire.encode_frame(message))
-            assert parent.poll(30.0), "worker sent no reply"
-            return wire.decode_frame(parent.recv_bytes())
-
-        try:
+        with _threaded_worker("boundary") as (exchange, thread):
             status, error = exchange(("stats", None))
             assert status == "error"
             assert error["type"] == "TypeError"
@@ -458,11 +469,31 @@ class TestProcessTransportProtocol:
             assert exchange(("ping", None)) == ("ok", "pong")
             assert thread.is_alive()
             assert exchange(("close", None)) == ("ok", None)
-        finally:
-            # Closing our end also stops a worker still waiting for a request.
-            parent.close()
-            thread.join(timeout=30.0)
-        assert not thread.is_alive()
+
+    def test_ill_typed_requests_get_one_typed_error_each_and_the_worker_serves_on(self):
+        unknown_uid = {"query": Query(task=Task.WORD_COUNT), "uid": "no-such-uid", "engine_config": None}
+        messages = [
+            7,
+            None,
+            ("ping",),
+            ("ping", None, None),
+            ("no_such_op", None),
+            ("submit", None),
+            ("submit", {}),
+            ("submit", unknown_uid),
+            ("snapshot", {}),
+            ("drop_session", {"key": [1, 2]}),
+            ("invalidate", {"uid": ["x"]}),
+        ]
+        with _threaded_worker("fuzz") as (exchange, thread):
+            for message in messages:
+                status, error = exchange(message)
+                assert status == "error", message
+                assert error["type"] in worker.REPLY_ERRORS, (message, error)
+                # One reply per request: a second one would answer this ping.
+                assert exchange(("ping", None)) == ("ok", "pong"), message
+                assert thread.is_alive(), message
+            assert exchange(("close", None)) == ("ok", None)
 
     def test_recv_tripwire_fires_under_witness_when_lock_held(self):
         from repro.analysis import lockcheck
