@@ -1,11 +1,11 @@
 """Async serving — event-driven coalescing vs. the threaded service.
 
 The thread-based serving front end caps concurrency (and therefore
-coalescing opportunity) at its worker-thread count and sleeps through
-its coalescing windows; the asyncio front end
-(:mod:`repro.serve.aio`) holds every request of a burst in flight as a
-coroutine and closes its windows by event — the moment a micro-batch
-fills — so batches run close to full.
+coalescing opportunity) at its worker-thread count; the asyncio front
+end (:mod:`repro.serve.aio`) holds every request of a burst in flight
+as a coroutine, so the requests that queue behind each executing
+micro-batch fill the next one close to full.  Neither front end holds a
+window open: batches form only from requests already waiting.
 
 This benchmark replays the same synthetic mixed-task request trace on
 every Table II dataset analogue three ways: through an 8-thread
@@ -24,7 +24,6 @@ from repro.bench.tables import format_table, save_report
 from repro.compression.compressor import compress_corpus
 from repro.data.generators import generate_dataset, list_datasets
 from repro.serve import (
-    ServiceConfig,
     TraceConfig,
     replay_trace,
     replay_trace_async,
@@ -42,20 +41,10 @@ def _build_report(scale: float) -> str:
         trace = synthesize_trace(
             compressed.file_names, TraceConfig(num_requests=NUM_REQUESTS, seed=17)
         )
-        config = ServiceConfig(coalesce_window=0.002)
         threaded = replay_trace(
-            compressed,
-            trace,
-            num_threads=NUM_THREADS,
-            service_config=config,
-            serial_baseline=False,
+            compressed, trace, num_threads=NUM_THREADS, serial_baseline=False
         )
-        report = replay_trace_async(
-            compressed,
-            trace,
-            concurrency=NUM_REQUESTS,
-            service_config=config,
-        )
+        report = replay_trace_async(compressed, trace, concurrency=NUM_REQUESTS)
         assert report.results_match, f"async served results diverged from serial on {dataset}"
         assert report.stats.kernel_launches < report.serial_launches, (
             f"async serving must launch strictly fewer kernels than serial runs on {dataset}"
@@ -91,11 +80,11 @@ def _build_report(scale: float) -> str:
         ),
     )
     summary = (
-        "The asyncio front end holds the whole burst in flight, so its "
-        "event-driven windows fill micro-batches the threaded service "
-        "cannot: coalescing is at least as good on every dataset, results "
-        "stay bit-identical to serial per-query execution, and kernel "
-        "launches per query drop accordingly."
+        "The asyncio front end holds the whole burst in flight, so the "
+        "requests queued behind each executing batch fill micro-batches "
+        "the threaded service cannot: coalescing is at least as good on "
+        "every dataset, results stay bit-identical to serial per-query "
+        "execution, and kernel launches per query drop accordingly."
     )
     return table + "\n\n" + summary
 

@@ -56,9 +56,9 @@ def _replay(
 ) -> Tuple[List[RunOutcome], "ServiceStats", float]:
     """Drive the trace through one fresh service; return outcomes/stats/seconds.
 
-    The result cache is disabled and the coalescing window zeroed so
-    every request executes deterministically and the measured seconds
-    reflect kernel execution, not cache hits or window sleeps.  The
+    The result cache is disabled so every request executes
+    deterministically and the measured seconds reflect kernel
+    execution, not cache hits.  The
     trace is replayed twice — one untimed warmup pass, one timed pass —
     so the seconds measure the warm steady state of a long-lived
     service rather than first-request initialization.
@@ -66,9 +66,7 @@ def _replay(
     service = AnalyticsService(
         compressed,
         engine_config=GTadocConfig(kernel_mode=kernel_mode),
-        service_config=ServiceConfig(
-            cache_results=False, coalesce_window=0.0, fuse_batches=fuse_batches
-        ),
+        service_config=ServiceConfig(cache_results=False, fuse_batches=fuse_batches),
     )
     service.run_batch(trace)  # warmup: populate session layout/weight caches
     started = time.perf_counter()

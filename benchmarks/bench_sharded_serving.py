@@ -81,9 +81,7 @@ def _build_report(scale: float) -> str:
         for index in range(len(corpora))
     ]
 
-    device_config = ServiceConfig(
-        max_sessions=MAX_SESSIONS_PER_DEVICE, coalesce_window=0.002
-    )
+    device_config = ServiceConfig(max_sessions=MAX_SESSIONS_PER_DEVICE)
     single = replay_trace(
         corpora,
         trace,

@@ -7,10 +7,10 @@ Run with::
 The thread-based serving example (``serving_workload.py``) needs a
 worker thread per in-flight request; this one serves the same kind of
 mixed traffic from a single asyncio event loop.  Every request is a
-coroutine, so the whole burst is in flight at once, compatible queries
-pile onto the event-driven coalescing windows (which close early the
-moment a micro-batch fills), and the engine's simulated kernels run on
-a small bounded executor so the loop itself never blocks.
+coroutine, so the whole burst is in flight at once: the first query's
+micro-batch executes at once, compatible queries queue behind it and
+run together as the next batches, and the engine's simulated kernels
+run on a small bounded executor so the loop itself never blocks.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def main() -> None:
 
     # One event-driven burst through the async front door.
     service = AsyncAnalyticsService(
-        compressed, service_config=ServiceConfig(cache_results=False, coalesce_window=0.02)
+        compressed, service_config=ServiceConfig(cache_results=False)
     )
     try:
         asyncio.run(burst(service))
@@ -86,12 +86,7 @@ def main() -> None:
         compressed.file_names, TraceConfig(num_requests=40, seed=11, repeat_fraction=0.4)
     )
     print(f"\ntrace: {len(trace)} requests, {len(set(trace))} distinct queries")
-    report = replay_trace_async(
-        compressed,
-        trace,
-        concurrency=len(trace),
-        service_config=ServiceConfig(coalesce_window=0.002),
-    )
+    report = replay_trace_async(compressed, trace, concurrency=len(trace))
     assert report.results_match, "async served results diverged from serial execution"
     stats = report.stats
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro import Corpus, compress_corpus
 from repro.api import Query
-from repro.serve import AnalyticsService, ServiceConfig, TraceConfig, replay_trace, synthesize_trace
+from repro.serve import AnalyticsService, TraceConfig, replay_trace, synthesize_trace
 
 
 def build_corpus() -> Corpus:
@@ -53,12 +53,7 @@ def main() -> None:
     )
     print(f"trace: {len(trace)} requests, {len(set(trace))} distinct queries")
 
-    report = replay_trace(
-        compressed,
-        trace,
-        num_threads=8,
-        service_config=ServiceConfig(coalesce_window=0.002),
-    )
+    report = replay_trace(compressed, trace, num_threads=8)
     assert report.results_match, "served results diverged from serial execution"
     stats = report.stats
 

@@ -30,10 +30,10 @@ rank  level               lock
                           Held briefly under the router lock (stats
                           reads, enqueue); never held across a blocking
                           pipe receive.
- 20   serve.coalescer     ``QueryCoalescer._lock`` (+ its arrival
-                          ``Condition``) — micro-batch group bookkeeping.
-                          Never holds anything else: batches execute after
-                          it is released.
+ 20   serve.coalescer     ``QueryCoalescer._lock`` — micro-batch group
+                          bookkeeping.  Never holds anything else, and
+                          nothing waits on it: batches execute after it
+                          is released.
  30   serve.cache         ``LRUCache._lock`` — session LRU and result
                           cache.  Factories and guards run under it, so it
                           sits above the epoch leaf (rank 62) and above the
@@ -157,7 +157,6 @@ ATTRIBUTE_LEVELS: Dict[Tuple[str, str], str] = {
     ("ShardedAnalyticsService", "_network_lock"): "serve.network",
     ("ProcessTransport", "_lock"): "serve.transport",
     ("QueryCoalescer", "_lock"): "serve.coalescer",
-    ("QueryCoalescer", "_arrival"): "serve.coalescer",
     ("LRUCache", "_lock"): "serve.cache",
     ("CorpusMemo", "_lock"): "serve.corpus_memo",
     ("DeviceSession", "_lock"): "session",

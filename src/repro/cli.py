@@ -33,7 +33,6 @@ Four sub-commands cover the CompressDirect-style workflow:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import List, Optional
 
@@ -48,17 +47,6 @@ from repro.data.loaders import load_corpus_dir
 from repro.perf.platforms import get_platform
 
 __all__ = ["main", "build_parser"]
-
-
-def _nonnegative_ms(text: str) -> float:
-    """argparse type: a finite millisecond value that must not be negative."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative (got {value})")
-    return value
 
 
 def _positive_int(text: str) -> int:
@@ -213,19 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--async",
         dest="use_async",
         action="store_true",
-        help="replay through the asyncio front end (event-driven coalescing windows)",
+        help="replay through the asyncio front end (every request in flight as a coroutine)",
     )
     serve.add_argument(
         "--concurrency",
         type=int,
         default=32,
         help="max in-flight requests for --async replays",
-    )
-    serve.add_argument(
-        "--coalesce-window-ms",
-        type=_nonnegative_ms,
-        default=2.0,
-        help="how long a micro-batch leader waits for compatible queries",
     )
     serve.add_argument(
         "--shards",
@@ -579,10 +561,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"--relational-fraction must be within [0, 1] (got {args.relational_fraction})"
             )
-        service_config = ServiceConfig(
-            max_sessions=args.max_sessions,
-            coalesce_window=args.coalesce_window_ms / 1000.0,
-        )
+        service_config = ServiceConfig(max_sessions=args.max_sessions)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

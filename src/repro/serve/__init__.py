@@ -10,8 +10,13 @@ invalidation):
 * :class:`AnalyticsService` — thread-based, blocking ``submit`` (the
   ``"serve"`` backend);
 * :class:`AsyncAnalyticsService` — asyncio, ``await submit`` with
-  event-driven coalescing windows and a bounded executor for engine
-  work (the ``"serve_async"`` backend, via :class:`AsyncServeBackend`).
+  every request in flight as a coroutine and a bounded executor for
+  engine work (the ``"serve_async"`` backend, via
+  :class:`AsyncServeBackend`).
+
+Neither front end waits for followers: a micro-batch leader executes at
+once, and the compatible requests that queue while a batch executes
+form the next batch.
 
 Quick start::
 

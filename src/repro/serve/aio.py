@@ -2,18 +2,17 @@
 
 The thread-based :class:`~repro.serve.service.AnalyticsService` caps
 concurrency — and therefore coalescing opportunity — at its caller's
-worker-thread count, and its micro-batch leaders *sleep* through the
-coalescing window.  :class:`AsyncAnalyticsService` serves the same
+worker-thread count.  :class:`AsyncAnalyticsService` serves the same
 queries from one event loop instead:
 
 * ``await service.submit(query)`` costs a coroutine, not a thread, so
   thousands of requests can be in flight per worker process — the shape
   a long-lived compressed-analytics service (TADOC/G-TADOC's
   build-once, query-many design) actually sees;
-* the coalescing window is **event-driven**: a leader awaits an
-  :class:`asyncio.Event` under a timeout and the window closes *early*
-  the moment the micro-batch fills or the corpus is invalidated — there
-  is no clock polling anywhere on the async path;
+* coalescing has **no window**: a leader takes its micro-batch the
+  moment it leads, and every compatible request that queues while that
+  batch executes rides in the next one — with a whole burst in flight,
+  those batches run close to full;
 * micro-batches dispatch engine ``run_batch`` calls through a bounded
   :class:`~concurrent.futures.ThreadPoolExecutor`, so the event loop
   never blocks on simulated kernels and independent sessions still
@@ -80,24 +79,6 @@ class AsyncCoalescedRequest(BatchSlot):
         self.promoted: bool = False
 
 
-class _AsyncGroup(GroupState):
-    """Group state plus the event that closes the leader's open window."""
-
-    __slots__ = ("window",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: The leader's open-window event (``None`` while no window is open).
-        self.window: Optional[asyncio.Event] = None
-
-    def close_window(self) -> bool:
-        """Wake a leader waiting on its window; returns whether one was open."""
-        if self.window is None:
-            return False
-        self.window.set()
-        return True
-
-
 #: Executes one micro-batch without blocking the loop (awaitable).
 AsyncExecuteFn = Callable[[List[BatchSlot]], Awaitable[None]]
 
@@ -108,18 +89,13 @@ class AsyncQueryCoalescer:
     The group/leader bookkeeping is the shared
     :class:`~repro.serve.coalescer.CoalescerCore`; because every method
     runs on the event loop between awaits, no lock is needed around it.
-    A leader's window is an ``asyncio.Event`` awaited under a timeout —
-    it closes the instant the batch fills (a follower sets it) or the
-    serving layer invalidates the group's corpus (:meth:`close_groups`),
-    and simply times out otherwise.  There is no ``time.monotonic``
-    polling loop anywhere on this path.
+    A leader takes its batch before its first await, so it never waits
+    for followers; followers await their request's future, which the
+    batch that served them (or a retiring leader's hand-off) resolves.
     """
 
-    def __init__(self, window: float = 0.002, max_batch: int = 16) -> None:
-        if window < 0:
-            raise ValueError("coalescing window must be non-negative")
-        self.window = float(window)
-        self._core = CoalescerCore(max_batch, group_factory=_AsyncGroup)
+    def __init__(self, max_batch: int = 16) -> None:
+        self._core = CoalescerCore(max_batch)
 
     @property
     def max_batch(self) -> int:
@@ -137,17 +113,13 @@ class AsyncQueryCoalescer:
 
         Suspends until the request's micro-batch has executed; raises
         whatever the batch raised, otherwise ``request.outcome`` is
-        filled in on return.  Cancellation-safe: a cancelled leader
-        withdraws and wakes a successor (or retires the group), and a
-        leader cancelled mid-execution still settles its batch for the
-        followers once the engine work lands.
+        filled in on return.  Cancellation-safe: a follower cancelled
+        after being handed the lead withdraws and wakes a successor (or
+        retires the group), and a leader cancelled mid-execution still
+        settles its batch for the followers once the engine work lands.
         """
         group, became_leader = self._core.enqueue(group_key, request)
-        if became_leader:
-            await self._lead(group_key, group, execute, request, hold_window=True)
-        else:
-            if len(group.pending) >= self._core.max_batch:
-                group.close_window()  # type: ignore[attr-defined]
+        if not became_leader:
             try:
                 await request.done
             except asyncio.CancelledError:
@@ -157,37 +129,16 @@ class AsyncQueryCoalescer:
                     # and wake a successor (or retire).
                     self._withdraw(group_key, group, request)
                 raise
-            if request.promoted:
-                # A retiring leader handed this coroutine the lead; its
-                # own request is still pending, so no window: drain now.
-                await self._lead(group_key, group, execute, request, hold_window=False)
+        # A leader, or a follower a retiring leader handed the lead to
+        # (its own request is still pending), drains the next batch now.
+        if became_leader or request.promoted:
+            await self._lead(group_key, group, execute)
         if request.error is not None:
             raise request.error
 
-    async def _lead(
-        self,
-        group_key: Any,
-        group: GroupState,
-        execute: AsyncExecuteFn,
-        request: AsyncCoalescedRequest,
-        hold_window: bool,
-    ) -> None:
+    async def _lead(self, group_key: Any, group: GroupState, execute: AsyncExecuteFn) -> None:
         """Execute one micro-batch, then hand off leadership or retire."""
-        if hold_window and self.window > 0 and len(group.pending) < self._core.max_batch:
-            event = asyncio.Event()
-            group.window = event  # type: ignore[attr-defined]
-            try:
-                await asyncio.wait_for(event.wait(), timeout=self.window)
-            except asyncio.TimeoutError:
-                pass
-            except asyncio.CancelledError:
-                # A cancelled leader must not abandon its group: withdraw
-                # its own request and wake a successor (or retire).
-                self._withdraw(group_key, group, request)
-                raise
-            finally:
-                group.window = None  # type: ignore[attr-defined]
-        # Followers cancelled while the window was open have no consumer;
+        # Followers cancelled since the last hand-off have no consumer;
         # drop them so the engine does not compute for callers that left.
         group.pending[:] = [
             slot
@@ -239,7 +190,7 @@ class AsyncQueryCoalescer:
     def _withdraw(
         self, group_key: Any, group: GroupState, request: AsyncCoalescedRequest
     ) -> None:
-        """Remove a cancelled leader's own request and pass the lead on."""
+        """Remove a cancelled successor's own request and pass the lead on."""
         if request in group.pending:
             group.pending.remove(request)
         self._handoff(group_key, group)
@@ -258,19 +209,6 @@ class AsyncQueryCoalescer:
             done = successor.done  # type: ignore[attr-defined]
             if not done.done():
                 done.set_result(None)
-
-    def close_groups(self, predicate: Callable[[Any], bool]) -> int:
-        """Close open windows of groups whose key matches ``predicate``.
-
-        Used on invalidation (and shutdown): waiting leaders wake
-        immediately and drain whatever queued, instead of sleeping out
-        the rest of their window.  Returns how many windows were closed.
-        """
-        closed = 0
-        for key, group in list(self._core.groups.items()):
-            if predicate(key) and group.close_window():  # type: ignore[attr-defined]
-                closed += 1
-        return closed
 
 
 class AsyncAnalyticsService(ServingCore):
@@ -316,13 +254,10 @@ class AsyncAnalyticsService(ServingCore):
             raise ValueError("max_workers must be >= 1")
         super().__init__(source, engine_config=engine_config, service_config=service_config)
         self._router = router
-        self._coalescer = AsyncQueryCoalescer(
-            window=self.config.coalesce_window, max_batch=self.config.max_batch_size
-        )
+        self._coalescer = AsyncQueryCoalescer(max_batch=self.config.max_batch_size)
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="gtadoc-serve"
         )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # -- the query path ----------------------------------------------------------------
     async def submit(
@@ -334,7 +269,6 @@ class AsyncAnalyticsService(ServingCore):
     ) -> RunOutcome:
         """Answer one query, coalescing with compatible in-flight queries."""
         loop = asyncio.get_running_loop()
-        self._loop = loop
         if self._router is not None:
             return await self._router.submit_async(
                 query,
@@ -371,13 +305,12 @@ class AsyncAnalyticsService(ServingCore):
     ) -> List[RunOutcome]:
         """Serve a batch already in hand, coalescing it directly.
 
-        The batch needs no window: compatible queries are grouped into
-        micro-batches on the spot (repeated tasks collapse inside the
-        engine) and each micro-batch runs on the executor, keeping the
-        loop free.  Outcomes keep input order.
+        Compatible queries are grouped into micro-batches on the spot
+        (repeated tasks collapse inside the engine) and each micro-batch
+        runs on the executor, keeping the loop free.  Outcomes keep input
+        order.
         """
         loop = asyncio.get_running_loop()
-        self._loop = loop
         if self._router is not None:
             return await self._router.run_batch_async(
                 queries,
@@ -432,24 +365,6 @@ class AsyncAnalyticsService(ServingCore):
             await loop.run_in_executor(self._executor, self._resolve_source, source)
 
     # -- lifecycle ---------------------------------------------------------------------
-    def _close_windows_for(self, fingerprint: str) -> None:
-        """Wake leaders holding windows open for the invalidated corpus."""
-        loop = self._loop
-        if loop is None or loop.is_closed():
-            return
-
-        def close() -> None:
-            self._coalescer.close_groups(lambda key: key[0][0] == fingerprint)
-
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        if running is loop:
-            close()
-        elif loop.is_running():
-            loop.call_soon_threadsafe(close)
-
     def close(self) -> None:
         """Release the executor (idempotent)."""
         self._executor.shutdown(wait=True)

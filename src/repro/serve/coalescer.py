@@ -7,34 +7,35 @@ one ``run_batch`` serves them all, charging shared initialization and
 traversal-state construction once.  This module implements the
 batching discipline:
 
-* the first request for a compatibility group becomes the *leader*;
-* the leader waits one short coalescing window so concurrent followers
-  can pile onto the group, then takes up to ``max_batch`` pending
-  requests and executes them as one micro-batch;
-* followers block on their request's completion signal and wake with
-  the outcome (or the batch's error) filled in;
-* each leader executes exactly one micro-batch.  If more requests
-  queued while it executed, leadership is handed to the head of the
-  queue (it drains the next batch immediately, no second window), so a
-  leader's latency is bounded by its own batch and the group is empty
-  when the last leader retires — at which point the group record is
-  dropped.
+* the first request for a compatibility group becomes the *leader* and
+  at once takes up to ``max_batch`` pending requests (its own first)
+  and executes them as one micro-batch — there is no waiting window,
+  so a lone request never waits for followers that may not come;
+* requests that arrive while a batch executes queue behind it as
+  *followers*, blocking on their request's completion signal;
+* each leader executes exactly one micro-batch.  If requests queued
+  while it executed, leadership is handed to the head of the queue,
+  which drains them as the next batch right away, so a leader's latency
+  is bounded by its own batch and the group is empty when the last
+  leader retires — at which point the group record is dropped.
+
+Batches therefore form from the requests that are *already waiting*
+when a leader starts, as the paper's batch mode amortizes
+initialization over tasks already in hand.
 
 The group/leader bookkeeping itself (:class:`CoalescerCore`) carries no
 synchronization, so the same discipline backs two front ends: the
-threaded :class:`QueryCoalescer` here (lock + condition, blocking
-waits) and the event-driven
-:class:`~repro.serve.aio.AsyncQueryCoalescer` (single-threaded event
-loop, ``asyncio`` futures).  Neither knows anything about engines or
-queries beyond the opaque group key — the serving layer supplies the
-execution function.
+threaded :class:`QueryCoalescer` here (a lock, blocking waits) and the
+event-driven :class:`~repro.serve.aio.AsyncQueryCoalescer`
+(single-threaded event loop, ``asyncio`` futures).  Neither knows
+anything about engines or queries beyond the opaque group key — the
+serving layer supplies the execution function.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.lockcheck import make_lock
 from repro.api.query import Query
@@ -92,20 +93,19 @@ class CoalescerCore:
     empty groups dropped.
     """
 
-    __slots__ = ("max_batch", "groups", "_group_factory")
+    __slots__ = ("max_batch", "groups")
 
-    def __init__(self, max_batch: int, group_factory: Type[GroupState] = GroupState) -> None:
+    def __init__(self, max_batch: int) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.max_batch = int(max_batch)
         self.groups: Dict[Any, GroupState] = {}
-        self._group_factory = group_factory
 
     def enqueue(self, group_key: Any, request: BatchSlot) -> Tuple[GroupState, bool]:
         """Queue ``request``; returns ``(group, became_leader)``."""
         group = self.groups.get(group_key)
         if group is None:
-            group = self.groups[group_key] = self._group_factory()
+            group = self.groups[group_key] = GroupState()
         group.pending.append(request)
         became_leader = not group.leader_active
         if became_leader:
@@ -138,15 +138,11 @@ class CoalescerCore:
 
 
 class QueryCoalescer:
-    """Thread-based front end: blocking submits, sleeping window."""
+    """Thread-based front end: blocking submits, leaders execute at once."""
 
-    def __init__(self, window: float = 0.002, max_batch: int = 16) -> None:
-        if window < 0:
-            raise ValueError("coalescing window must be non-negative")
-        self.window = float(window)
+    def __init__(self, max_batch: int = 16) -> None:
         self._core = CoalescerCore(max_batch)
         self._lock = make_lock("serve.coalescer")
-        self._arrival = threading.Condition(self._lock)
 
     @property
     def max_batch(self) -> int:
@@ -165,25 +161,17 @@ class QueryCoalescer:
         """
         with self._lock:
             group, became_leader = self._core.enqueue(group_key, request)
-            if not became_leader:
-                self._arrival.notify_all()
-        if became_leader:
-            self._lead_one_batch(group_key, group, execute, hold_window=True)
-        else:
+        if not became_leader:
             request.event.wait()
-            if request.promoted:
-                # A retiring leader handed this thread the lead; its own
-                # request is still pending, so no window: drain right away.
-                self._lead_one_batch(group_key, group, execute, hold_window=False)
+        # A leader, or a follower a retiring leader handed the lead to
+        # (its own request is still pending), drains the next batch now.
+        if became_leader or request.promoted:
+            self._lead_one_batch(group_key, group, execute)
         if request.error is not None:
             raise request.error
 
-    def _lead_one_batch(
-        self, group_key: Any, group: GroupState, execute: ExecuteFn, hold_window: bool
-    ) -> None:
+    def _lead_one_batch(self, group_key: Any, group: GroupState, execute: ExecuteFn) -> None:
         """Execute one micro-batch, then hand off leadership or retire."""
-        if hold_window:
-            self._wait_for_followers(group)
         with self._lock:
             batch = self._core.take_batch(group)
             if not batch:  # pragma: no cover - a leader's own request is pending
@@ -201,15 +189,3 @@ class QueryCoalescer:
                 successor = self._core.finish(group_key, group)
                 if successor is not None:
                     successor.event.set()  # type: ignore[attr-defined]
-
-    def _wait_for_followers(self, group: GroupState) -> None:
-        """Hold the coalescing window open (cut short once the batch is full)."""
-        if self.window <= 0:
-            return
-        deadline = time.monotonic() + self.window
-        with self._arrival:
-            while len(group.pending) < self._core.max_batch:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._arrival.wait(remaining)

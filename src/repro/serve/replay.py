@@ -410,7 +410,7 @@ def replay_trace_async(
 
     Up to ``concurrency`` requests are in flight at once (far more than
     a thread pool of the same size could hold), so compatible queries
-    pile onto the event-driven coalescing windows and micro-batches run
+    queue behind each executing micro-batch and the next batches run
     close to full.  With ``serial_baseline`` the serial per-query
     comparison replay runs afterwards, exactly as in
     :func:`replay_trace`.

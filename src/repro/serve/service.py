@@ -112,11 +112,8 @@ class ServiceConfig:
     result_cache_capacity: int = 1024
     #: Serve repeated identical queries from the result cache.
     cache_results: bool = True
-    #: Seconds a micro-batch leader holds the door open for concurrent
-    #: compatible queries (0 disables the wait; coalescing then only
-    #: captures requests that queued while a batch was executing).
-    coalesce_window: float = 0.002
-    #: Upper bound on one micro-batch's size.
+    #: Upper bound on one micro-batch's size.  A leader executes at once;
+    #: its batch holds the compatible requests already queued behind it.
     max_batch_size: int = 16
     #: Bound on memoized raw-corpus compressions (oldest dropped first).
     corpus_memo_capacity: int = 32
@@ -138,8 +135,6 @@ class ServiceConfig:
             raise ValueError("max_sessions must be >= 1")
         if self.result_cache_capacity < 1:
             raise ValueError("result_cache_capacity must be >= 1")
-        if self.coalesce_window < 0:
-            raise ValueError("coalesce_window must be non-negative")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if self.corpus_memo_capacity < 1:
@@ -331,15 +326,7 @@ class ServingCore:
         self._corpus_memo.drop_fingerprint(fingerprint)
         dropped = self._sessions.remove_where(lambda key: key[0] == fingerprint)
         dropped += self._results.remove_where(lambda key: key[0][0] == fingerprint)
-        self._close_windows_for(fingerprint)
         return dropped
-
-    def _close_windows_for(self, fingerprint: str) -> None:
-        """Invalidation hook: close open coalescing windows for the corpus.
-
-        The threaded coalescer's windows simply elapse; the asyncio
-        front end overrides this to wake waiting leaders immediately.
-        """
 
     def stats(self) -> ServiceStats:
         # Cache stats are snapshotted before taking the stats lock: the
@@ -465,7 +452,6 @@ class ServingCore:
         # corpus object, or cached results) expired with its epoch.
         self._sessions.expire_where(lambda key: key[0] == old_fingerprint)
         self._results.expire_where(lambda key: key[0][0] == old_fingerprint)
-        self._close_windows_for(old_fingerprint)
         return fingerprint
 
     def _store_result(self, prepared: _PreparedQuery, outcome: RunOutcome) -> bool:
@@ -623,7 +609,7 @@ class ServingCore:
         List[Optional[RunOutcome]],
         List[Tuple[_SessionEntry, List[int]]],
     ]:
-        """Group a batch already in hand into micro-batches (no window needed).
+        """Group a batch already in hand into micro-batches.
 
         Cache hits are answered in place; the remaining queries are
         grouped by coalescing compatibility (first-seen group order,
@@ -687,9 +673,7 @@ class AnalyticsService(ServingCore):
         service_config: Optional[ServiceConfig] = None,
     ) -> None:
         super().__init__(source, engine_config=engine_config, service_config=service_config)
-        self._coalescer = QueryCoalescer(
-            window=self.config.coalesce_window, max_batch=self.config.max_batch_size
-        )
+        self._coalescer = QueryCoalescer(max_batch=self.config.max_batch_size)
 
     # -- the query path ----------------------------------------------------------------
     def submit(
@@ -733,11 +717,11 @@ class AnalyticsService(ServingCore):
     ) -> List[RunOutcome]:
         """Serve a batch already in hand, coalescing it directly.
 
-        A single-threaded caller needs no coalescing window: compatible
-        queries from the iterable are grouped into micro-batches on the
-        spot, so the batch charges shared state per *group* (and
-        collapses repeated tasks inside the engine) instead of paying
-        one engine round trip per query.  Outcomes keep input order.
+        Compatible queries from the iterable are grouped into
+        micro-batches on the spot, so the batch charges shared state per
+        *group* (and collapses repeated tasks inside the engine) instead
+        of paying one engine round trip per query.  Outcomes keep input
+        order.
         """
         prepared, outcomes, chunks = self._plan_batch(list(queries), source, engine_config)
         for entry, indices in chunks:

@@ -7,6 +7,11 @@ them.
 
 from __future__ import annotations
 
+import asyncio
+import threading
+import time
+from typing import List
+
 import pytest
 
 from repro.analytics.reference import UncompressedAnalytics
@@ -88,3 +93,84 @@ def many_files_reference(many_files_corpus) -> UncompressedAnalytics:
 @pytest.fixture(scope="session")
 def few_files_reference(few_files_corpus) -> UncompressedAnalytics:
     return UncompressedAnalytics(few_files_corpus)
+
+
+class BatchGate:
+    """Holds a serving core's first micro-batch until :meth:`release`.
+
+    Wraps the service's ``_execute_batch`` (the threaded service runs it
+    on the leader's thread, the asyncio one on an executor thread), so a
+    test can queue followers behind a batch known to be executing and
+    then read off how the queue was batched.  ``sizes`` records each
+    batch as it starts, ``completed`` as it finishes.
+    """
+
+    #: Upper bound on any wait here, so a broken test fails instead of hanging.
+    TIMEOUT = 10.0
+
+    def __init__(self, service) -> None:
+        self._coalescer = service._coalescer
+        self._executing = threading.Event()
+        self._release = threading.Event()
+        self.sizes: List[int] = []
+        self.completed: List[int] = []
+        original = service._execute_batch
+
+        def gated(entry, batch) -> None:
+            self.sizes.append(len(batch))
+            if len(self.sizes) == 1:
+                self._executing.set()
+                self._release.wait(self.TIMEOUT)
+            original(entry, batch)
+            self.completed.append(len(batch))
+
+        service._execute_batch = gated
+
+    def release(self) -> None:
+        self._release.set()
+
+    def queued(self) -> int:
+        """Requests waiting in the service's coalescing groups."""
+        return sum(len(group.pending) for group in list(self._coalescer._groups.values()))
+
+    def wait_executing(self) -> None:
+        """Block until the first batch is held (threaded callers)."""
+        assert self._executing.wait(self.TIMEOUT), "the first batch never started"
+
+    async def until_executing(self) -> None:
+        """Await, without blocking the event loop, until the first batch is held."""
+        await asyncio.get_running_loop().run_in_executor(None, self.wait_executing)
+
+    def wait_queued(self, count: int) -> None:
+        """Block until ``count`` requests queue behind the held batch (threaded callers)."""
+        deadline = time.monotonic() + self.TIMEOUT
+        while self.queued() < count:
+            assert time.monotonic() < deadline, f"only {self.queued()} of {count} queued"
+            time.sleep(0.001)
+
+    async def until_queued(self, count: int) -> None:
+        """Yield to the event loop until ``count`` requests have queued."""
+        for _ in range(1000):
+            if self.queued() >= count:
+                return
+            await asyncio.sleep(0)
+        raise AssertionError(f"only {self.queued()} of {count} queued")
+
+
+@pytest.fixture
+def gate_first_batch():
+    """``gate_first_batch(service)`` returns a :class:`BatchGate` on ``service``.
+
+    Every gate is released at teardown, so a failing test never leaves a
+    worker thread blocked.
+    """
+    gates: List[BatchGate] = []
+
+    def make(service) -> BatchGate:
+        gate = BatchGate(service)
+        gates.append(gate)
+        return gate
+
+    yield make
+    for gate in gates:
+        gate.release()

@@ -25,7 +25,7 @@ from repro.analysis.lockcheck import (
     witness_edges,
 )
 from repro.compression.compressor import compress_corpus
-from repro.serve import AnalyticsService, ServiceConfig
+from repro.serve import AnalyticsService
 
 
 @pytest.fixture(autouse=True)
@@ -226,9 +226,7 @@ class TestServingIntegration:
     def test_serving_traffic_witnesses_session_corpus_edge(self, tiny_corpus):
         with witness():
             compressed = compress_corpus(tiny_corpus)
-            service = AnalyticsService(
-                compressed, service_config=ServiceConfig(coalesce_window=0.0)
-            )
+            service = AnalyticsService(compressed)
             outcome = service.submit("word_count")
         assert outcome.result
         edges = witness_edges()
@@ -321,9 +319,7 @@ class TestHoldProfiles:
     def test_serving_traffic_yields_consistent_profiles(self, tiny_corpus):
         with witness():
             compressed = compress_corpus(tiny_corpus)
-            service = AnalyticsService(
-                compressed, service_config=ServiceConfig(coalesce_window=0.0)
-            )
+            service = AnalyticsService(compressed)
             service.submit("word_count")
             report = lockcheck.witness_report()
         assert "session" in report
@@ -340,7 +336,6 @@ class TestHoldProfiles:
             compressed = compress_corpus(tiny_corpus)
             service = ShardedAnalyticsService(
                 compressed,
-                service_config=ServiceConfig(coalesce_window=0.0),
                 sharded_config=ShardedServiceConfig(
                     num_shards=2, transport="process"
                 ),

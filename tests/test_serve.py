@@ -354,29 +354,36 @@ class TestServiceConcurrency:
         assert report.stats.kernel_launches < report.serial_launches
         assert report.served_launches_per_query < report.serial_launches_per_query
 
-    def test_simultaneous_compatible_queries_coalesce(self, tiny_compressed):
+    def test_simultaneous_compatible_queries_coalesce(self, tiny_compressed, gate_first_batch):
         service = AnalyticsService(
-            tiny_compressed,
-            service_config=ServiceConfig(cache_results=False, coalesce_window=0.05),
+            tiny_compressed, service_config=ServiceConfig(cache_results=False)
         )
-        tasks = Task.all()
-        barrier = threading.Barrier(len(tasks))
+        gate = gate_first_batch(service)
+        leader, *followers = Task.all()
         outcomes = {}
 
         def worker(task: Task) -> None:
-            barrier.wait()
             outcomes[task] = service.submit(Query(task=task))
 
-        threads = [threading.Thread(target=worker, args=(task,)) for task in tasks]
-        for thread in threads:
+        threads = [threading.Thread(target=worker, args=(task,)) for task in Task.all()]
+        threads[0].start()
+        gate.wait_executing()  # the leader's batch is running...
+        for thread in threads[1:]:
             thread.start()
+        gate.wait_queued(len(followers))  # ...while every follower queues behind it
+        gate.release()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
         stats = service.stats()
-        assert stats.executed_queries == len(tasks)
-        assert stats.micro_batches < len(tasks)
-        assert stats.coalesced_queries >= 2
-        assert any(outcome.details["batch_size"] > 1 for outcome in outcomes.values())
+        # The leader ran alone, at once; everything that queued behind it
+        # shared the next batch.
+        assert gate.sizes == [1, len(followers)]
+        assert stats.executed_queries == len(Task.all())
+        assert stats.micro_batches == 2
+        assert stats.coalesced_queries == len(followers)
+        assert outcomes[leader].details["batch_size"] == 1
+        assert all(outcomes[task].details["batch_size"] == len(followers) for task in followers)
 
     def test_error_reaches_only_the_offending_caller(self, tiny_compressed):
         service = AnalyticsService(tiny_compressed)
@@ -406,19 +413,26 @@ class TestServiceConcurrency:
         # Every leader retired with an empty queue; no group records linger.
         assert service._coalescer._groups == {}
 
-    def test_uncontended_submit_pays_the_window_once(self, tiny_compressed):
-        import time
-
-        window = 0.05
+    def test_lone_submit_never_waits(self, tiny_compressed, monkeypatch):
+        """A leader with no followers executes at once.  Nothing on its
+        thread may block on a condition (``Event.wait`` goes through
+        ``Condition.wait`` too), so no coalescing window can hide there."""
         service = AnalyticsService(
-            tiny_compressed,
-            service_config=ServiceConfig(cache_results=False, coalesce_window=window),
+            tiny_compressed, service_config=ServiceConfig(cache_results=False)
         )
         service.submit(Query(task=Task.WORD_COUNT))  # warm the session
-        start = time.monotonic()
-        service.submit(Query(task=Task.SORT))
-        elapsed = time.monotonic() - start
-        assert elapsed < 2 * window  # one coalescing window, no post-drain wait
+        caller = threading.get_ident()
+        wait = threading.Condition.wait
+
+        def refuse(condition, timeout=None):
+            assert threading.get_ident() != caller, "a lone submit waited"
+            return wait(condition, timeout)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Condition, "wait", refuse)
+            outcome = service.submit(Query(task=Task.SORT))
+        assert outcome.details["batch_size"] == 1
+        assert service._coalescer._groups == {}
 
     def test_raw_corpus_memo_is_bounded(self):
         service = AnalyticsService(
@@ -815,9 +829,7 @@ class TestInvalidateInflightRace:
 
         # One coalescing group per task: distinct sequence lengths force
         # distinct micro-batches, so every worker blocks in _execute_batch.
-        service = BlockingService(
-            tiny_compressed, service_config=ServiceConfig(coalesce_window=0.0)
-        )
+        service = BlockingService(tiny_compressed)
         queries = [
             Query(task=Task.SEQUENCE_COUNT, sequence_length=length)
             for length in range(2, 2 + num_workers)

@@ -4,9 +4,10 @@ The centrepiece mirrors the threaded concurrency suite:
 :class:`~repro.serve.AsyncAnalyticsService` replaying the seeded mixed
 trace must produce results bit-identical to serial per-query execution
 while coalescing at least as well as the threaded service on the same
-trace.  The coalescer-level tests pin the event-driven behaviour — a
-window closes *early* when the micro-batch fills or the corpus is
-invalidated, instead of sleeping out its timeout.
+trace.  The coalescer-level tests pin the batching behaviour — a leader
+executes at once, the requests that queue while a batch executes form
+the next batches (at most ``max_batch_size`` each), and a lone request
+never waits.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import threading
-import time
 
 import pytest
 
@@ -42,8 +42,7 @@ NUM_THREADS = 6
 class TestAsyncCoalescing:
     def test_gathered_compatible_queries_share_one_micro_batch(self, tiny_compressed):
         service = AsyncAnalyticsService(
-            tiny_compressed,
-            service_config=ServiceConfig(cache_results=False, coalesce_window=0.05),
+            tiny_compressed, service_config=ServiceConfig(cache_results=False)
         )
         try:
             async def drive():
@@ -54,56 +53,86 @@ class TestAsyncCoalescing:
             outcomes = asyncio.run(drive())
         finally:
             service.close()
+        # The first query leads alone, at once; the five that queued while
+        # it executed share the next micro-batch.
         stats = service.stats()
-        assert stats.micro_batches == 1
+        followers = len(Task.all()) - 1
+        assert stats.micro_batches == 2
         assert stats.executed_queries == len(Task.all())
-        assert all(outcome.details["batch_size"] == len(Task.all()) for outcome in outcomes)
-        assert all(outcome.details["coalesced"] for outcome in outcomes)
+        assert [outcome.details["batch_size"] for outcome in outcomes] == [1] + [followers] * followers
+        assert [outcome.details["coalesced"] for outcome in outcomes] == [False] + [True] * followers
 
-    def test_window_closes_early_when_batch_fills(self, tiny_compressed):
-        window = 5.0  # far longer than the test may take: must close by event
+    def test_lone_submit_never_reaches_a_timed_wait(self, tiny_compressed, monkeypatch):
+        """A leader with no followers takes its batch at once: it never
+        awaits anything under a timeout, so no coalescing window can hide
+        on the async path."""
         service = AsyncAnalyticsService(
-            tiny_compressed,
-            service_config=ServiceConfig(
-                cache_results=False, coalesce_window=window, max_batch_size=len(Task.all())
-            ),
+            tiny_compressed, service_config=ServiceConfig(cache_results=False)
         )
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a lone submit awaited asyncio.wait_for")
+
         try:
             async def drive():
-                return await asyncio.gather(
-                    *(service.submit(Query(task=task)) for task in Task.all())
-                )
+                await service.submit(Query(task=Task.WORD_COUNT))  # warm the session
+                with monkeypatch.context() as patch:
+                    patch.setattr(asyncio, "wait_for", refuse)
+                    return await service.submit(Query(task=Task.SORT))
 
-            start = time.monotonic()
-            outcomes = asyncio.run(drive())
-            elapsed = time.monotonic() - start
+            outcome = asyncio.run(drive())
         finally:
             service.close()
-        assert elapsed < window / 2, "a full batch must close the window early"
-        assert service.stats().micro_batches == 1
-        assert len(outcomes) == len(Task.all())
+        assert outcome.details["batch_size"] == 1
+        assert service._coalescer._groups == {}
 
-    def test_invalidate_closes_an_open_window(self, tiny_compressed, tiny_reference):
-        window = 5.0
+    def test_max_batch_size_caps_each_queued_batch(self, tiny_compressed, gate_first_batch):
         service = AsyncAnalyticsService(
             tiny_compressed,
-            service_config=ServiceConfig(cache_results=False, coalesce_window=window),
+            service_config=ServiceConfig(cache_results=False, max_batch_size=3),
         )
+        gate = gate_first_batch(service)
+        followers = [Query(task=task) for task in Task.all()]
+        try:
+            async def drive():
+                leader = asyncio.create_task(service.submit(Query(task=Task.WORD_COUNT)))
+                queued = [asyncio.create_task(service.submit(query)) for query in followers]
+                await gate.until_queued(len(followers))
+                gate.release()
+                return await asyncio.gather(leader, *queued)
+
+            outcomes = asyncio.run(drive())
+        finally:
+            service.close()
+        # Six followers queued behind the held batch drain as two full batches.
+        assert gate.sizes == [1, 3, 3]
+        assert service.stats().micro_batches == 3
+        assert [outcome.details["batch_size"] for outcome in outcomes] == [1] + [3] * 6
+        assert service._coalescer._groups == {}
+
+    def test_invalidate_during_an_executing_batch(
+        self, tiny_compressed, tiny_reference, gate_first_batch
+    ):
+        service = AsyncAnalyticsService(
+            tiny_compressed, service_config=ServiceConfig(cache_results=False)
+        )
+        gate = gate_first_batch(service)
         try:
             async def drive():
                 pending = asyncio.create_task(service.submit(Query(task=Task.WORD_COUNT)))
-                await asyncio.sleep(0.05)  # the leader is holding its window open
+                await gate.until_executing()
                 service.invalidate(tiny_compressed)
-                return await asyncio.wait_for(pending, timeout=window / 2)
+                gate.release()
+                return await asyncio.wait_for(pending, timeout=5.0)
 
-            start = time.monotonic()
             outcome = asyncio.run(drive())
-            elapsed = time.monotonic() - start
         finally:
             service.close()
-        assert elapsed < window / 2, "invalidation must close the open window"
-        # The in-flight query still answers for the content it addressed.
+        # The in-flight query still answers for the content it addressed...
         assert outcome.result == tiny_reference.run(Task.WORD_COUNT)
+        # ...its stale session is not left resident, and no group record lingers.
+        assert service.resident_sessions == 0
+        assert service._coalescer._groups == {}
 
     def test_sequential_submits_do_not_coalesce(self, tiny_compressed):
         service = AsyncAnalyticsService(
@@ -158,18 +187,19 @@ class TestAsyncCoalescing:
 # ----------------------------------------------------------------------------------------
 
 class TestAsyncCancellation:
-    def test_cancelled_leader_does_not_wedge_the_group(self, tiny_compressed):
+    def test_cancelled_leader_does_not_wedge_the_group(self, tiny_compressed, gate_first_batch):
         service = AsyncAnalyticsService(
-            tiny_compressed,
-            service_config=ServiceConfig(cache_results=False, coalesce_window=0.5),
+            tiny_compressed, service_config=ServiceConfig(cache_results=False)
         )
+        gate = gate_first_batch(service)
         try:
             async def drive():
                 leader = asyncio.create_task(service.submit(Query(task=Task.WORD_COUNT)))
-                await asyncio.sleep(0.05)  # the leader is holding its window open
-                leader.cancel()
+                await gate.until_executing()
+                leader.cancel()  # mid-execution: the batch is shielded
                 with pytest.raises(asyncio.CancelledError):
                     await leader
+                gate.release()
                 # The group must keep serving new compatible queries.
                 return await asyncio.wait_for(
                     service.submit(Query(task=Task.WORD_COUNT)), timeout=5.0
@@ -179,28 +209,36 @@ class TestAsyncCancellation:
         finally:
             service.close()
         assert outcome.result
+        # The cancelled leader's batch still ran to completion and settled.
+        assert gate.completed == [1, 1]
         assert service._coalescer._groups == {}
 
-    def test_cancelled_leader_hands_followers_to_a_successor(self, tiny_compressed):
+    def test_cancelled_leader_hands_followers_to_a_successor(
+        self, tiny_compressed, gate_first_batch
+    ):
         service = AsyncAnalyticsService(
-            tiny_compressed,
-            service_config=ServiceConfig(cache_results=False, coalesce_window=0.5),
+            tiny_compressed, service_config=ServiceConfig(cache_results=False)
         )
+        gate = gate_first_batch(service)
         try:
             async def drive():
                 leader = asyncio.create_task(service.submit(Query(task=Task.WORD_COUNT)))
-                await asyncio.sleep(0.05)
+                await gate.until_executing()
                 follower = asyncio.create_task(service.submit(Query(task=Task.SORT)))
-                await asyncio.sleep(0.05)
+                await gate.until_queued(1)
                 leader.cancel()
                 with pytest.raises(asyncio.CancelledError):
                     await leader
+                gate.release()
                 return await asyncio.wait_for(follower, timeout=5.0)
 
             outcome = asyncio.run(drive())
         finally:
             service.close()
         assert outcome.result  # served despite its leader being cancelled
+        # The shielded batch settled, then handed the follower the lead.
+        assert gate.completed == [1, 1]
+        assert outcome.details["batch_size"] == 1
         assert service._coalescer._groups == {}
 
     def test_successor_cancelled_between_promotion_and_resumption(self, tiny_compressed):
@@ -210,7 +248,7 @@ class TestAsyncCancellation:
         from repro.serve import AsyncCoalescedRequest, AsyncQueryCoalescer
 
         async def drive():
-            coalescer = AsyncQueryCoalescer(window=0.0, max_batch=1)
+            coalescer = AsyncQueryCoalescer(max_batch=1)
             gate = asyncio.Event()
             calls = []
 
@@ -245,26 +283,30 @@ class TestAsyncCancellation:
 
         asyncio.run(drive())
 
-    def test_cancelled_follower_does_not_block_the_batch(self, tiny_compressed):
+    def test_cancelled_follower_does_not_block_the_batch(self, tiny_compressed, gate_first_batch):
         service = AsyncAnalyticsService(
-            tiny_compressed,
-            service_config=ServiceConfig(cache_results=False, coalesce_window=0.3),
+            tiny_compressed, service_config=ServiceConfig(cache_results=False)
         )
+        gate = gate_first_batch(service)
         try:
             async def drive():
                 leader = asyncio.create_task(service.submit(Query(task=Task.WORD_COUNT)))
-                await asyncio.sleep(0.05)
+                await gate.until_executing()
                 follower = asyncio.create_task(service.submit(Query(task=Task.SORT)))
-                await asyncio.sleep(0.05)
+                await gate.until_queued(1)
                 follower.cancel()
                 with pytest.raises(asyncio.CancelledError):
                     await follower
+                gate.release()
                 return await asyncio.wait_for(leader, timeout=5.0)
 
             outcome = asyncio.run(drive())
         finally:
             service.close()
         assert outcome.result
+        # The cancelled follower was dropped at hand-off: no batch ran for it.
+        assert gate.completed == [1]
+        assert service.stats().micro_batches == 1
         assert service._coalescer._groups == {}
 
 
@@ -287,8 +329,9 @@ class TestAsyncReplay:
         assert report.results_match
         assert report.stats.kernel_launches < report.serial_launches
         assert report.served_launches_per_query < report.serial_launches_per_query
-        # Event-driven windows with the whole trace in flight must coalesce
-        # at least as well as the 6-thread service on the same trace.
+        # With the whole trace in flight, the batches that queue behind each
+        # executing batch must coalesce at least as well as the 6-thread
+        # service on the same trace.
         assert report.stats.mean_batch_size >= threaded.stats.mean_batch_size
 
     def test_concurrency_bound_is_validated(self, tiny_compressed):
@@ -353,32 +396,38 @@ class TestAsyncServeBackend:
         finally:
             backend.close()
 
-    def test_concurrent_sync_callers_coalesce_through_the_loop(self, tiny_compressed):
+    def test_concurrent_sync_callers_coalesce_through_the_loop(
+        self, tiny_compressed, gate_first_batch
+    ):
         backend = AsyncServeBackend(
-            tiny_compressed,
-            service_config=ServiceConfig(cache_results=False, coalesce_window=0.05),
+            tiny_compressed, service_config=ServiceConfig(cache_results=False)
         )
-        tasks = Task.all()
-        barrier = threading.Barrier(len(tasks))
+        gate = gate_first_batch(backend.service)
+        leader, *followers = Task.all()
         outcomes = {}
 
         def worker(task: Task) -> None:
-            barrier.wait()
             outcomes[task] = backend.submit(Query(task=task))
 
         try:
-            threads = [threading.Thread(target=worker, args=(task,)) for task in tasks]
-            for thread in threads:
+            threads = [threading.Thread(target=worker, args=(task,)) for task in Task.all()]
+            threads[0].start()
+            gate.wait_executing()  # the leader's batch is running...
+            for thread in threads[1:]:
                 thread.start()
+            gate.wait_queued(len(followers))  # ...while every follower queues behind it
+            gate.release()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=10.0)
+            assert not any(thread.is_alive() for thread in threads)
             stats = backend.stats()
         finally:
             backend.close()
-        assert stats.executed_queries == len(tasks)
-        assert stats.micro_batches < len(tasks)
-        assert stats.coalesced_queries >= 2
-        assert any(outcome.details["batch_size"] > 1 for outcome in outcomes.values())
+        assert gate.sizes == [1, len(followers)]
+        assert stats.executed_queries == len(Task.all())
+        assert stats.micro_batches == 2
+        assert stats.coalesced_queries == len(followers)
+        assert all(outcomes[task].details["batch_size"] == len(followers) for task in followers)
 
     def test_closed_adapter_refuses_work(self, tiny_compressed):
         backend = AsyncServeBackend(tiny_compressed)

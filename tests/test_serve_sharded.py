@@ -57,7 +57,6 @@ def _pool(num_shards=2, **config) -> ShardedAnalyticsService:
     defaults.update(config)
     return ShardedAnalyticsService(
         sharded_config=ShardedServiceConfig(**defaults),
-        service_config=ServiceConfig(coalesce_window=0.0),
     )
 
 
@@ -137,7 +136,7 @@ class TestShardedRouting:
         a one-session budget per shard."""
         service = ShardedAnalyticsService(
             sharded_config=ShardedServiceConfig(num_shards=3, hot_query_share=1.0),
-            service_config=ServiceConfig(max_sessions=1, coalesce_window=0.0),
+            service_config=ServiceConfig(max_sessions=1),
         )
         with service:
             by_shard = {}
@@ -626,7 +625,6 @@ class TestReplayStopsOnError:
                 trace,
                 num_threads=4,
                 serial_baseline=False,
-                service_config=ServiceConfig(coalesce_window=0.0),
             )
         # Before the fix the surviving workers drained the whole trace.
         assert len(calls) < len(trace) // 2

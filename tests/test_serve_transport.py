@@ -62,7 +62,6 @@ def _pool(transport: str, num_shards: int = 2, **config) -> ShardedAnalyticsServ
     defaults.update(config)
     return ShardedAnalyticsService(
         sharded_config=ShardedServiceConfig(**defaults),
-        service_config=ServiceConfig(coalesce_window=0.0),
     )
 
 
@@ -145,9 +144,7 @@ class TestEquivalenceMatrix:
             for mutation in epochs:
                 if mutation is not None:
                     mutation.apply(compressed)
-                serial = AnalyticsService(
-                    compressed, service_config=ServiceConfig(coalesce_window=0.0)
-                )
+                serial = AnalyticsService(compressed)
                 for query in _matrix_queries():
                     expected = serial.submit(query).result
                     got_threads = threads.submit(query, source=compressed).result
@@ -287,7 +284,7 @@ def _inject_dying_owner(service, compressed, fail_times: int) -> _DyingTransport
     """Swap the corpus-owning shard's transport for a crashing double."""
     owner = service._shards[service.shard_for(compressed)]
     dying = _DyingTransport(
-        (owner.shard_id, service.name, None, ServiceConfig(coalesce_window=0.0), 2),
+        (owner.shard_id, service.name, None, ServiceConfig(), 2),
         fail_times,
     )
     owner.transport.close()
@@ -341,8 +338,7 @@ class TestCrashIsolation:
                 if len(doubles) < 1:  # first replacement also crashes once
                     shard.transport.close()
                     shard.transport = _DyingTransport(
-                        (shard_id, service.name, None,
-                         ServiceConfig(coalesce_window=0.0), 2),
+                        (shard_id, service.name, None, ServiceConfig(), 2),
                         1,
                     )
                     doubles.append(shard.transport)
@@ -380,8 +376,7 @@ class TestCrashIsolation:
                 shard = original_new_shard(shard_id)
                 shard.transport.close()
                 shard.transport = _DyingTransport(
-                    (shard_id, service.name, None,
-                     ServiceConfig(coalesce_window=0.0), 2),
+                    (shard_id, service.name, None, ServiceConfig(), 2),
                     10_000,
                 )
                 return shard
@@ -418,7 +413,7 @@ def _threaded_worker(name: str):
     parent, child = multiprocessing.Pipe()
     thread = threading.Thread(
         target=worker.worker_main,
-        args=(child, name, None, ServiceConfig(coalesce_window=0.0)),
+        args=(child, name, None, ServiceConfig()),
         daemon=True,
     )
     thread.start()
@@ -504,7 +499,7 @@ class TestProcessTransportProtocol:
             shard_id=990,
             name="tripwire",
             engine_config=None,
-            service_config=ServiceConfig(coalesce_window=0.0),
+            service_config=ServiceConfig(),
             workers=1,
         )
         was_enabled = lockcheck.is_enabled()
