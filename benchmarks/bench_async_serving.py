@@ -24,9 +24,10 @@ from repro.bench.tables import format_table, save_report
 from repro.compression.compressor import compress_corpus
 from repro.data.generators import generate_dataset, list_datasets
 from repro.serve import (
+    AnalyticsService,
+    AsyncAnalyticsService,
     TraceConfig,
     replay_trace,
-    replay_trace_async,
     synthesize_trace,
 )
 
@@ -42,9 +43,10 @@ def _build_report(scale: float) -> str:
             compressed.file_names, TraceConfig(num_requests=NUM_REQUESTS, seed=17)
         )
         threaded = replay_trace(
-            compressed, trace, num_threads=NUM_THREADS, serial_baseline=False
+            AnalyticsService(), compressed, trace, clients=NUM_THREADS, serial_baseline=False
         )
-        report = replay_trace_async(compressed, trace, concurrency=NUM_REQUESTS)
+        with AsyncAnalyticsService() as service:
+            report = replay_trace(service, compressed, trace, clients=NUM_REQUESTS)
         assert report.results_match, f"async served results diverged from serial on {dataset}"
         assert report.stats.kernel_launches < report.serial_launches, (
             f"async serving must launch strictly fewer kernels than serial runs on {dataset}"

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.bench.tables import format_table, save_report
 from repro.compression.compressor import compress_corpus
 from repro.data.generators import generate_dataset, list_datasets
-from repro.serve import TraceConfig, replay_trace, synthesize_trace
+from repro.serve import AnalyticsService, TraceConfig, replay_trace, synthesize_trace
 
 NUM_REQUESTS = 48
 NUM_THREADS = 8
@@ -32,7 +32,7 @@ def _build_report(scale: float) -> str:
         trace = synthesize_trace(
             compressed.file_names, TraceConfig(num_requests=NUM_REQUESTS, seed=17)
         )
-        report = replay_trace(compressed, trace, num_threads=NUM_THREADS)
+        report = replay_trace(AnalyticsService(), compressed, trace, clients=NUM_THREADS)
         stats = report.stats
         assert report.results_match, f"served results diverged from serial on dataset {dataset}"
         assert stats.kernel_launches < report.serial_launches, (

@@ -46,7 +46,6 @@ from repro.serve import (
     ShardedServiceConfig,
     TraceConfig,
     replay_trace,
-    replay_trace_sharded,
     synthesize_trace,
 )
 
@@ -83,20 +82,17 @@ def _build_report(scale: float) -> str:
 
     device_config = ServiceConfig(max_sessions=MAX_SESSIONS_PER_DEVICE)
     single = replay_trace(
+        AnalyticsService(service_config=device_config),
         corpora,
         trace,
-        num_threads=NUM_THREADS,
-        service_config=device_config,
+        clients=NUM_THREADS,
         serial_baseline=False,
     )
-    sharded = replay_trace_sharded(
-        corpora,
-        trace,
-        num_shards=NUM_SHARDS,
-        replicas=2,
-        num_threads=NUM_THREADS,
+    with ShardedAnalyticsService(
         service_config=device_config,
-    )
+        sharded_config=ShardedServiceConfig(num_shards=NUM_SHARDS, replication_factor=2),
+    ) as pool:
+        sharded = replay_trace(pool, corpora, trace, clients=NUM_THREADS)
     stats = sharded.stats
 
     assert sharded.results_match, "sharded served results diverged from the serial baseline"
@@ -199,16 +195,14 @@ def _merge_trajectory(measurements: dict) -> None:
 
 def _transport_comparison(corpora, trace, device_config, *, threaded_sharded):
     """The same trace through a process-transport pool, wire traffic priced."""
-    process = replay_trace_sharded(
-        corpora,
-        trace,
-        num_shards=NUM_SHARDS,
-        replicas=2,
-        num_threads=NUM_THREADS,
+    with ShardedAnalyticsService(
         service_config=device_config,
-        transport="process",
-    )
-    assert process.transport == "process"
+        sharded_config=ShardedServiceConfig(
+            num_shards=NUM_SHARDS, replication_factor=2, transport="process"
+        ),
+    ) as pool:
+        process = replay_trace(pool, corpora, trace, clients=NUM_THREADS)
+    assert pool.transport_kind == "process"
     assert process.results_match, (
         "process-transport served results diverged from the serial baseline"
     )

@@ -23,7 +23,7 @@ from repro.serve import (
     AsyncAnalyticsService,
     ServiceConfig,
     TraceConfig,
-    replay_trace_async,
+    replay_trace,
     synthesize_trace,
 )
 
@@ -86,11 +86,12 @@ def main() -> None:
         compressed.file_names, TraceConfig(num_requests=40, seed=11, repeat_fraction=0.4)
     )
     print(f"\ntrace: {len(trace)} requests, {len(set(trace))} distinct queries")
-    report = replay_trace_async(compressed, trace, concurrency=len(trace))
+    with AsyncAnalyticsService() as service:
+        report = replay_trace(service, compressed, trace, clients=len(trace))
     assert report.results_match, "async served results diverged from serial execution"
     stats = report.stats
 
-    print(f"served {stats.queries} queries with {report.num_threads} requests in flight:")
+    print(f"served {stats.queries} queries with {report.clients} requests in flight:")
     print(f"  engine micro-batches:   {stats.micro_batches} "
           f"(mean size {stats.mean_batch_size:.2f}, {stats.coalesced_queries} queries coalesced)")
     print(f"  kernel launches/query:  {report.served_launches_per_query:.2f} served vs "

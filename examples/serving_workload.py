@@ -53,11 +53,11 @@ def main() -> None:
     )
     print(f"trace: {len(trace)} requests, {len(set(trace))} distinct queries")
 
-    report = replay_trace(compressed, trace, num_threads=8)
+    report = replay_trace(AnalyticsService(), compressed, trace, clients=8)
     assert report.results_match, "served results diverged from serial execution"
     stats = report.stats
 
-    print(f"\nserved {stats.queries} queries with {report.num_threads} worker threads:")
+    print(f"\nserved {stats.queries} queries with {report.clients} worker threads:")
     print(f"  engine micro-batches:   {stats.micro_batches} "
           f"(mean size {stats.mean_batch_size:.2f}, {stats.coalesced_queries} queries coalesced)")
     print(f"  result cache:           {stats.result_cache.hits} hits / "

@@ -24,10 +24,11 @@ Four sub-commands cover the CompressDirect-style workflow:
     print the resulting table.
 ``gtadoc serve-bench``
     Replay a synthetic mixed-query request trace through the serving
-    layer (:mod:`repro.serve`) — thread-based by default, or through
-    the asyncio front end with ``--async`` — and report kernel launches
-    per query, result-cache hit rate and coalescing statistics against
-    serial per-query execution.
+    layer (:mod:`repro.serve`) — thread-based by default, through the
+    asyncio front end with ``--async``, over a shard pool with
+    ``--shards`` — and report kernel launches per query, result-cache
+    hit rate and coalescing statistics against serial per-query
+    execution.
 """
 
 from __future__ import annotations
@@ -541,12 +542,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
+    from contextlib import ExitStack
+
     from repro.serve import (
+        AnalyticsService,
+        AsyncAnalyticsService,
         ServiceConfig,
+        ShardedAnalyticsService,
+        ShardedServiceConfig,
         TraceConfig,
         replay_trace,
-        replay_trace_async,
-        replay_trace_sharded,
         synthesize_trace,
     )
 
@@ -561,6 +566,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"--relational-fraction must be within [0, 1] (got {args.relational_fraction})"
             )
+        if args.processes and not args.shards:
+            raise ValueError("--processes requires --shards")
         service_config = ServiceConfig(max_sessions=args.max_sessions)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -577,73 +584,61 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             relational_fraction=args.relational_fraction,
         ),
     )
-    if args.processes and not args.shards:
-        print("error: --processes requires --shards", file=sys.stderr)
-        return 2
-    if args.shards:
-        report = replay_trace_sharded(
-            compressed,
-            trace,
-            num_shards=args.shards,
-            replicas=args.replicas,
-            num_threads=args.threads,
-            service_config=service_config,
-            serial_baseline=not args.no_serial_baseline,
-            use_async=args.use_async,
-            concurrency=args.concurrency,
-            transport="process" if args.processes else None,
-        )
-        concurrency_row = (
-            "max in-flight requests" if args.use_async else "worker threads",
-            report.num_threads,
-        )
-    elif args.use_async:
-        report = replay_trace_async(
-            compressed,
-            trace,
-            concurrency=args.concurrency,
-            service_config=service_config,
-            serial_baseline=not args.no_serial_baseline,
-        )
-        concurrency_row = ("max in-flight requests", report.num_threads)
-    else:
+    with ExitStack() as owned:
+        pool = None
+        if args.shards:
+            pool = owned.enter_context(
+                ShardedAnalyticsService(
+                    service_config=service_config,
+                    sharded_config=ShardedServiceConfig(
+                        num_shards=args.shards,
+                        replication_factor=args.replicas,
+                        transport="process" if args.processes else None,
+                    ),
+                )
+            )
+        if args.use_async:
+            service = owned.enter_context(
+                AsyncAnalyticsService(service_config=service_config, router=pool)
+            )
+        else:
+            service = pool or AnalyticsService(service_config=service_config)
         report = replay_trace(
+            service,
             compressed,
             trace,
-            num_threads=args.threads,
-            service_config=service_config,
+            clients=args.concurrency if args.use_async else args.threads,
             serial_baseline=not args.no_serial_baseline,
         )
-        concurrency_row = ("worker threads", report.num_threads)
+    mode = "asyncio" if args.use_async else "threads"
     stats = report.stats
     hit_rate = (
         stats.result_cache_hit_rate if args.shards else stats.result_cache.hit_rate
     )
     rows = [
         ("requests", report.num_requests),
-        ("replay mode", report.mode),
-        concurrency_row,
+        ("replay mode", f"{mode}+sharded" if args.shards else mode),
+        ("max in-flight requests" if args.use_async else "worker threads", report.clients),
         ("engine micro-batches", stats.micro_batches),
         ("mean batch size", f"{stats.mean_batch_size:.2f}"),
         ("coalesced queries", stats.coalesced_queries),
         ("result-cache hit rate", f"{hit_rate * 100:.1f}%"),
         ("served kernel launches", stats.kernel_launches),
         ("served launches/query", f"{report.served_launches_per_query:.2f}"),
+        ("served wall-clock", f"{report.elapsed_seconds:.3f} s"),
     ]
-    if report.elapsed_seconds is not None:
-        rows.append(("served wall-clock", f"{report.elapsed_seconds:.3f} s"))
-        if report.requests_per_second is not None:
-            rows.append(("served requests/s", f"{report.requests_per_second:.1f}"))
+    if report.requests_per_second is not None:
+        rows.append(("served requests/s", f"{report.requests_per_second:.1f}"))
     if args.shards:
         rows.extend(
             [
-                ("shards", report.num_shards),
+                ("shards", args.shards),
                 ("queries per shard", "/".join(str(n) for n in stats.routed_queries)),
                 ("sessions per shard", "/".join(str(n) for n in stats.resident_sessions)),
                 ("replica promotions", stats.replica_promotions),
                 ("replica demotions", stats.replica_demotions),
                 ("placement network", f"{stats.network_seconds * 1000:.3f} ms"),
-                ("shard transport", report.transport),
+                ("shard transport", pool.transport_kind),
             ]
         )
         if stats.wire_messages:

@@ -16,7 +16,15 @@ invalidation):
 
 Neither front end waits for followers: a micro-batch leader executes at
 once, and the compatible requests that queue while a batch executes
-form the next batch.
+form the next batch.  :class:`ShardedAnalyticsService` routes queries
+by corpus fingerprint across a pool of such cores, in-process or in
+worker processes; ``AsyncAnalyticsService(router=pool)`` is the pool's
+asyncio client.
+
+:func:`replay_trace` drives a request trace through any of these
+services — on worker threads when ``submit`` blocks, on one event loop
+when it is a coroutine — and checks every answer against serial
+per-query execution.  The caller builds and closes the service.
 
 Quick start::
 
@@ -42,12 +50,7 @@ from repro.serve.aio import (
 )
 from repro.serve.caches import CacheStats, LRUCache
 from repro.serve.coalescer import BatchSlot, CoalescedRequest, QueryCoalescer
-from repro.serve.replay import (
-    ReplayReport,
-    replay_trace,
-    replay_trace_async,
-    replay_trace_sharded,
-)
+from repro.serve.replay import ReplayReport, replay_trace
 from repro.serve.service import AnalyticsService, ServiceConfig, ServiceStats, ServingCore
 from repro.serve.sharding import (
     ShardedAnalyticsService,
@@ -93,6 +96,4 @@ __all__ = [
     "synthesize_trace",
     "ReplayReport",
     "replay_trace",
-    "replay_trace_async",
-    "replay_trace_sharded",
 ]

@@ -98,10 +98,6 @@ class AsyncQueryCoalescer:
         self._core = CoalescerCore(max_batch)
 
     @property
-    def max_batch(self) -> int:
-        return self._core.max_batch
-
-    @property
     def _groups(self) -> Dict[Any, GroupState]:
         """The live group records (exposed for tests/diagnostics)."""
         return self._core.groups
@@ -368,6 +364,12 @@ class AsyncAnalyticsService(ServingCore):
     def close(self) -> None:
         """Release the executor (idempotent)."""
         self._executor.shutdown(wait=True)
+
+    def __enter__(self) -> "AsyncAnalyticsService":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 class AsyncServeBackend:

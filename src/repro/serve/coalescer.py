@@ -145,10 +145,6 @@ class QueryCoalescer:
         self._lock = make_lock("serve.coalescer")
 
     @property
-    def max_batch(self) -> int:
-        return self._core.max_batch
-
-    @property
     def _groups(self) -> Dict[Any, GroupState]:
         """The live group records (exposed for tests/diagnostics)."""
         return self._core.groups

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.analytics.base import Task
@@ -452,6 +454,33 @@ class TestCli:
         out = capsys.readouterr().out
         assert "asyncio+sharded" in out
         assert "placement network" in out
+
+    def test_serve_bench_rejects_processes_without_shards(self, capsys, monkeypatch):
+        def no_dataset(*_args, **_kwargs):
+            raise AssertionError("the dataset was generated before the arguments were checked")
+
+        monkeypatch.setattr("repro.cli.generate_dataset", no_dataset)
+        assert main(["serve-bench", "--dataset", "D", "--processes"]) == 2
+        assert "--processes" in capsys.readouterr().err
+
+    def test_serve_bench_process_shards_replay_trace(self, capsys):
+        assert main(
+            [
+                "serve-bench",
+                "--dataset",
+                "D",
+                "--scale",
+                "0.05",
+                "--requests",
+                "12",
+                "--shards",
+                "2",
+                "--processes",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"shard transport\s*\|\s*process\b", out)
+        assert re.search(r"results match serial\s*\|\s*yes\b", out)
 
     @pytest.mark.parametrize("flag", ["--shards", "--replicas"])
     @pytest.mark.parametrize("bad", ["0", "-1", "bogus"])

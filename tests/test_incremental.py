@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 import threading
+from functools import partial
 
 import pytest
 
@@ -26,7 +27,9 @@ from repro.compression.compressor import CompressedCorpus, TadocCompressor
 from repro.core.engine import GTadoc
 from repro.data.corpus import Corpus
 from repro.relational.spec import FieldSpec, RelationalQuery, RowSchema
-from repro.serve.replay import replay_trace, replay_trace_async, replay_trace_sharded
+from repro.serve.aio import AsyncAnalyticsService
+from repro.serve.replay import replay_trace
+from repro.serve.service import AnalyticsService
 from repro.serve.sharding import ShardedAnalyticsService, ShardedServiceConfig
 from repro.serve.trace import MutationEvent, TraceConfig, synthesize_trace
 
@@ -263,19 +266,20 @@ class TestBackendMatrixAcrossEpochs:
 
 
 # ----------------------------------------------------------------------------------------
-# Serving tiers: mutating traces through all three replay flavours
+# Serving tiers: mutating traces through every kind of service
 # ----------------------------------------------------------------------------------------
 
 class TestMutatingReplays:
     @pytest.mark.parametrize(
-        "flavour,replay,kwargs",
+        "open_service,clients",
         [
-            ("threads", replay_trace, {"num_threads": 4}),
-            ("asyncio", replay_trace_async, {"concurrency": 16}),
-            ("sharded", replay_trace_sharded, {"num_shards": 2, "num_threads": 4}),
+            (AnalyticsService, 4),
+            (AsyncAnalyticsService, 16),
+            (partial(ShardedAnalyticsService, num_shards=2), 4),
         ],
+        ids=["threads", "asyncio", "sharded"],
     )
-    def test_mutating_trace_matches_serial_scratch_baseline(self, flavour, replay, kwargs):
+    def test_mutating_trace_matches_serial_scratch_baseline(self, open_service, clients):
         rng = random.Random(31)
         live = _scratch(_seed_streams(rng, files=4))
         trace = synthesize_trace(
@@ -285,8 +289,13 @@ class TestMutatingReplays:
             ),
         )
         assert any(isinstance(item, MutationEvent) for item in trace)
-        report = replay(live, trace, **kwargs)
-        assert report.results_match is True, flavour
+        service = open_service()
+        try:
+            report = replay_trace(service, live, trace, clients=clients)
+        finally:
+            if hasattr(service, "close"):
+                service.close()
+        assert report.results_match is True
         assert report.num_mutations > 0
         assert report.num_requests + report.num_mutations == len(trace)
         assert live.version == report.num_mutations

@@ -357,12 +357,12 @@ class TestServing:
         assert second.kernel_launches == 0
 
     def test_relational_trace_replays_bit_identically(self, rel_compressed):
-        from repro.serve import TraceConfig, replay_trace, synthesize_trace
+        from repro.serve import AnalyticsService, TraceConfig, replay_trace, synthesize_trace
 
         config = TraceConfig(num_requests=16, relational_fraction=0.5, seed=5)
         trace = synthesize_trace(rel_compressed.file_names, config)
         assert any(q.task is Task.RELATIONAL for q in trace)
-        report = replay_trace(rel_compressed, trace, num_threads=2)
+        report = replay_trace(AnalyticsService(), rel_compressed, trace, clients=2)
         assert report.results_match
 
     def test_trace_config_validates_relational_knobs(self, spec):

@@ -347,7 +347,9 @@ class TestServiceConcurrency:
         trace = synthesize_trace(
             few_files_compressed.file_names, TraceConfig(num_requests=32, seed=5)
         )
-        report = replay_trace(few_files_compressed, trace, num_threads=NUM_THREADS)
+        report = replay_trace(
+            AnalyticsService(), few_files_compressed, trace, clients=NUM_THREADS
+        )
         assert report.results_match
         # The acceptance criterion: strictly fewer kernel launches per
         # query than serial per-query run() execution.

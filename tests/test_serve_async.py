@@ -23,12 +23,12 @@ from repro.api import Query, open_backend
 from repro.api.backend import AnalyticsBackend
 from repro.api.backends import GTadocBackend
 from repro.serve import (
+    AnalyticsService,
     AsyncAnalyticsService,
     AsyncServeBackend,
     ServiceConfig,
     TraceConfig,
     replay_trace,
-    replay_trace_async,
     synthesize_trace,
 )
 
@@ -322,10 +322,14 @@ class TestAsyncReplay:
             few_files_compressed.file_names, TraceConfig(num_requests=32, seed=5)
         )
         threaded = replay_trace(
-            few_files_compressed, trace, num_threads=NUM_THREADS, serial_baseline=False
+            AnalyticsService(),
+            few_files_compressed,
+            trace,
+            clients=NUM_THREADS,
+            serial_baseline=False,
         )
-        report = replay_trace_async(few_files_compressed, trace, concurrency=len(trace))
-        assert report.mode == "asyncio"
+        with AsyncAnalyticsService() as service:
+            report = replay_trace(service, few_files_compressed, trace, clients=len(trace))
         assert report.results_match
         assert report.stats.kernel_launches < report.serial_launches
         assert report.served_launches_per_query < report.serial_launches_per_query
@@ -333,10 +337,6 @@ class TestAsyncReplay:
         # executing batch must coalesce at least as well as the 6-thread
         # service on the same trace.
         assert report.stats.mean_batch_size >= threaded.stats.mean_batch_size
-
-    def test_concurrency_bound_is_validated(self, tiny_compressed):
-        with pytest.raises(ValueError):
-            replay_trace_async(tiny_compressed, [], concurrency=0)
 
     def test_repeated_queries_hit_the_result_cache_across_bursts(self, tiny_compressed):
         service = AsyncAnalyticsService(tiny_compressed)

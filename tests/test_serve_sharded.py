@@ -4,6 +4,8 @@ along with the shard pool."""
 
 from __future__ import annotations
 
+import asyncio
+import inspect
 import random
 import threading
 import time
@@ -27,7 +29,6 @@ from repro.serve import (
     TraceConfig,
     rendezvous_rank,
     replay_trace,
-    replay_trace_sharded,
     synthesize_trace,
 )
 
@@ -500,37 +501,32 @@ class TestShardedReplay:
 
     def test_multi_corpus_replay_matches_serial(self, shard_corpora):
         corpora = shard_corpora[:3]
-        report = replay_trace_sharded(
-            corpora, self._trace(corpora), num_shards=2, num_threads=4
-        )
-        assert report.mode == "threads+sharded"
-        assert report.num_shards == 2
+        with ShardedAnalyticsService(num_shards=2) as pool:
+            report = replay_trace(pool, corpora, self._trace(corpora), clients=4)
+        assert len(report.stats.shards) == 2
         assert report.results_match
         assert report.stats.kernel_launches < report.serial_launches
         assert report.stats.placements == report.num_requests
 
     def test_no_shard_exceeds_its_session_budget(self, shard_corpora):
         corpora = shard_corpora[:4]
-        report = replay_trace_sharded(
-            corpora,
-            self._trace(corpora),
-            num_shards=2,
-            num_threads=4,
-            service_config=ServiceConfig(max_sessions=2),
-        )
+        with ShardedAnalyticsService(
+            num_shards=2, service_config=ServiceConfig(max_sessions=2)
+        ) as pool:
+            report = replay_trace(pool, corpora, self._trace(corpora), clients=4)
         for shard in report.stats.shards:
             assert shard.session_cache.size <= 2
 
     def test_async_router_replay_matches_serial(self, shard_corpora):
         corpora = shard_corpora[:2]
-        report = replay_trace_sharded(
-            corpora,
-            self._trace(corpora, per_corpus=5),
-            num_shards=2,
-            use_async=True,
-            concurrency=10,
-        )
-        assert report.mode == "asyncio+sharded"
+        with (
+            ShardedAnalyticsService(num_shards=2) as pool,
+            AsyncAnalyticsService(router=pool) as client,
+        ):
+            report = replay_trace(
+                client, corpora, self._trace(corpora, per_corpus=5), clients=10
+            )
+        assert report.stats.placements == report.num_requests
         assert report.results_match
 
     def test_single_corpus_trace_still_works(self, shard_corpora):
@@ -538,16 +534,14 @@ class TestShardedReplay:
         trace = synthesize_trace(
             compressed.file_names, TraceConfig(num_requests=10, seed=3)
         )
-        report = replay_trace_sharded(compressed, trace, num_shards=2, num_threads=2)
+        with ShardedAnalyticsService(num_shards=2) as pool:
+            report = replay_trace(pool, compressed, trace, clients=2)
         assert report.results_match
 
     def test_trace_with_out_of_range_source_rejected(self, shard_corpora):
-        with pytest.raises(ValueError, match="source"):
-            replay_trace_sharded(
-                shard_corpora[:2],
-                [(5, Query(task=Task.WORD_COUNT))],
-                num_shards=2,
-            )
+        with ShardedAnalyticsService(num_shards=2) as pool:
+            with pytest.raises(ValueError, match="source"):
+                replay_trace(pool, shard_corpora[:2], [(5, Query(task=Task.WORD_COUNT))])
 
 
 # ----------------------------------------------------------------------------------------
@@ -600,39 +594,65 @@ class TestTraceRepeatBias:
 
 
 # ----------------------------------------------------------------------------------------
-# Regression: replay_trace stops every worker on first error
+# Regression: replay_trace stops on the first error, on either driver
 # ----------------------------------------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "front_end", [AnalyticsService, AsyncAnalyticsService], ids=["sync", "async"]
+)
 class TestReplayStopsOnError:
-    def test_workers_stop_claiming_after_first_error(
-        self, tiny_compressed, monkeypatch
-    ):
+    """A blocking ``submit`` is driven by claiming worker threads, a
+    coroutine ``submit`` by one event loop; neither keeps submitting
+    after a failure."""
+
+    @pytest.fixture
+    def service(self, front_end, tiny_compressed):
+        service = front_end(tiny_compressed)
+        yield service
+        if isinstance(service, AsyncAnalyticsService):
+            service.close()
+
+    @pytest.fixture
+    def submits(self, front_end, monkeypatch):
+        """Records every submitted query; each submit first sleeps 2 ms
+        to give the stop signal time to matter."""
         calls = []
-        original = AnalyticsService.submit
+        original = front_end.submit
+        if inspect.iscoroutinefunction(original):
 
-        def counting_submit(self, query, **kwargs):
-            calls.append(query)
-            time.sleep(0.002)  # give the stop flag time to matter
-            return original(self, query, **kwargs)
+            async def counting_submit(self, query, **kwargs):
+                calls.append(query)
+                await asyncio.sleep(0.002)
+                return await original(self, query, **kwargs)
 
-        monkeypatch.setattr(AnalyticsService, "submit", counting_submit)
+        else:
+
+            def counting_submit(self, query, **kwargs):
+                calls.append(query)
+                time.sleep(0.002)
+                return original(self, query, **kwargs)
+
+        monkeypatch.setattr(front_end, "submit", counting_submit)
+        return calls
+
+    def test_workers_stop_claiming_after_first_error(self, service, submits, tiny_compressed):
         good = Query(task=Task.WORD_COUNT)
         bad = Query(task=Task.WORD_COUNT, files=("missing.txt",))
         trace = [good, bad] + [Query(task=Task.SORT, top_k=k) for k in range(1, 61)]
         with pytest.raises(ValueError, match="unknown file"):
-            replay_trace(
-                tiny_compressed,
-                trace,
-                num_threads=4,
-                serial_baseline=False,
-            )
-        # Before the fix the surviving workers drained the whole trace.
-        assert len(calls) < len(trace) // 2
+            replay_trace(service, tiny_compressed, trace, clients=4, serial_baseline=False)
+        # Before the fix the surviving threaded workers drained the whole trace.
+        assert len(submits) < len(trace) // 2
 
-    def test_original_exception_type_is_unmasked(self, tiny_compressed):
+    def test_original_exception_type_is_unmasked(self, service, tiny_compressed):
         trace = [Query(task=Task.WORD_COUNT, files=("missing.txt",))]
         with pytest.raises(ValueError, match="unknown file"):
-            replay_trace(tiny_compressed, trace, num_threads=2, serial_baseline=False)
+            replay_trace(service, tiny_compressed, trace, clients=2, serial_baseline=False)
+
+    def test_concurrency_bound_is_validated(self, service, submits, tiny_compressed):
+        with pytest.raises(ValueError, match="clients"):
+            replay_trace(service, tiny_compressed, [Query(task=Task.WORD_COUNT)], clients=0)
+        assert submits == []
 
 
 # ----------------------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.compression.compressor import compress_corpus
 from repro.data.corpus import Corpus
 from repro.serve import (
     AnalyticsService,
+    AsyncAnalyticsService,
     InProcessTransport,
     ProcessTransport,
     ServiceConfig,
@@ -33,7 +34,7 @@ from repro.serve import (
     ShardFailure,
     TraceConfig,
     create_transport,
-    replay_trace_sharded,
+    replay_trace,
     synthesize_trace,
 )
 from repro.serve import wire, worker
@@ -176,11 +177,11 @@ class TestProcessReplay:
                 relational_fraction=0.2,
             ),
         )
-        report = replay_trace_sharded(
-            compressed, trace, num_shards=2, num_threads=4, transport="process"
-        )
-        assert report.transport == "process"
-        assert report.mode == "threads+sharded"
+        with ShardedAnalyticsService(
+            sharded_config=ShardedServiceConfig(num_shards=2, transport="process")
+        ) as pool:
+            report = replay_trace(pool, compressed, trace, clients=4)
+        assert pool.transport_kind == "process"
         assert report.results_match is True
         assert report.stats.wire_messages > 0
 
@@ -190,16 +191,14 @@ class TestProcessReplay:
             compressed.file_names,
             TraceConfig(num_requests=20, seed=5, mutation_fraction=0.1),
         )
-        report = replay_trace_sharded(
-            compressed,
-            trace,
-            num_shards=2,
-            transport="process",
-            use_async=True,
-            concurrency=16,
-        )
-        assert report.transport == "process"
-        assert report.mode == "asyncio+sharded"
+        with (
+            ShardedAnalyticsService(
+                sharded_config=ShardedServiceConfig(num_shards=2, transport="process")
+            ) as pool,
+            AsyncAnalyticsService(router=pool) as client,
+        ):
+            report = replay_trace(client, compressed, trace, clients=16)
+        assert pool.transport_kind == "process"
         assert report.results_match is True
 
 
