@@ -1,4 +1,4 @@
-"""Relational analytics on compressed data — launches and wall-clock.
+"""Relational analytics on compressed data — kernel launches and ops.
 
 The relational plan family executes SELECT-style queries (filter /
 group-by / aggregate over per-file rows) directly on the grammar:
@@ -10,31 +10,29 @@ pays four launches on every query: tokenize, parse rows, filter,
 aggregate.
 
 This benchmark builds an orders-style corpus (one delimited record per
-file), runs a small relational query mix on the G-TADOC engine in both
-kernel modes and on the uncompressed GPU baseline, and asserts
+file), runs a small relational query mix on the G-TADOC engine and on
+the uncompressed GPU baseline, and asserts
 
-* every backend pair answers bit-identically (scalar vs vector modes
-  additionally match on simulated launch and op counts),
+* both backends answer bit-identically,
 * a warm relational query launches strictly fewer kernels than the
   cold query that built the parse states, and
 * the warm compressed-domain query launches strictly fewer kernels
   than the decompress-then-scan baseline.
 
-Measurements are written to ``BENCH_relational.json`` at the
-repository root so successive anchors can track the trajectory.
+The simulated launch and op counts are written to
+``BENCH_relational.json`` at the repository root so successive anchors
+can track the trajectory.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 from typing import List
 
 from repro.api import Query, open_backend
 from repro.bench.tables import format_table, save_report
 from repro.compression.compressor import compress_corpus
-from repro.core.session import GTadocConfig
 from repro.data.corpus import Corpus
 from repro.relational.spec import (
     Aggregate,
@@ -104,36 +102,21 @@ def _query_mix(schema: RowSchema) -> List[Query]:
     return [Query(task="relational", extras={"relational": spec}) for spec in specs]
 
 
-def _run_mode(compressed, queries: List[Query], kernel_mode: str):
-    """Run the mix on one persistent G-TADOC backend; return per-query data."""
-    backend = open_backend(
-        "gtadoc", compressed, config=GTadocConfig(kernel_mode=kernel_mode)
-    )
-    started = time.perf_counter()
-    outcomes = [backend.run(query) for query in queries]
-    elapsed = time.perf_counter() - started
-    return outcomes, elapsed
-
-
 def _build_report(_scale: float) -> str:
     compressed = compress_corpus(_build_corpus())
     queries = _query_mix(_schema())
 
-    scalar, scalar_seconds = _run_mode(compressed, queries, "scalar")
-    vector, vector_seconds = _run_mode(compressed, queries, "vector")
+    # One persistent backend, so the queries after the first run warm.
+    gtadoc_backend = open_backend("gtadoc", compressed)
+    gtadoc = [gtadoc_backend.run(query) for query in queries]
     baseline_backend = open_backend("gpu_uncompressed", compressed)
     baseline = [baseline_backend.run(query) for query in queries]
 
-    for position, (s, v, b) in enumerate(zip(scalar, vector, baseline)):
-        assert s.result == v.result == b.result, f"query {position}: results diverge"
-        assert s.kernel_launches == v.kernel_launches, (
-            f"query {position}: scalar launched {s.kernel_launches}, "
-            f"vector {v.kernel_launches}"
-        )
-        assert abs(s.ops - v.ops) < 1e-6, f"query {position}: modelled ops diverge"
+    for position, (g, b) in enumerate(zip(gtadoc, baseline)):
+        assert g.result == b.result, f"query {position}: results diverge"
 
-    cold_launches = scalar[0].kernel_launches
-    warm_launches = [outcome.kernel_launches for outcome in scalar[1:]]
+    cold_launches = gtadoc[0].kernel_launches
+    warm_launches = [outcome.kernel_launches for outcome in gtadoc[1:]]
     baseline_launches = [outcome.kernel_launches for outcome in baseline]
     assert all(warm < cold_launches for warm in warm_launches), (
         f"warm queries ({warm_launches}) must launch fewer kernels than the "
@@ -147,16 +130,16 @@ def _build_report(_scale: float) -> str:
     )
 
     rows = []
-    for position, (s, b) in enumerate(zip(scalar, baseline)):
+    for position, (g, b) in enumerate(zip(gtadoc, baseline)):
         phase = "cold" if position == 0 else "warm"
         rows.append(
             [
                 f"q{position} ({phase})",
-                s.kernel_launches,
+                g.kernel_launches,
                 b.kernel_launches,
-                f"{s.ops:12.0f}",
+                f"{g.ops:12.0f}",
                 f"{b.ops:12.0f}",
-                len(s.result),
+                len(g.result),
             ]
         )
 
@@ -166,17 +149,15 @@ def _build_report(_scale: float) -> str:
         "cold_launches": cold_launches,
         "warm_launches": warm_launches,
         "baseline_launches": baseline_launches,
-        "scalar_seconds": scalar_seconds,
-        "vector_seconds": vector_seconds,
         "per_query": [
             {
-                "gtadoc_launches": s.kernel_launches,
+                "gtadoc_launches": g.kernel_launches,
                 "baseline_launches": b.kernel_launches,
-                "gtadoc_ops": s.ops,
+                "gtadoc_ops": g.ops,
                 "baseline_ops": b.ops,
-                "groups": len(s.result),
+                "groups": len(g.result),
             }
-            for s, b in zip(scalar, baseline)
+            for g, b in zip(gtadoc, baseline)
         ],
     }
     BENCH_JSON.write_text(json.dumps(trajectory, indent=2) + "\n")
@@ -197,9 +178,9 @@ def _build_report(_scale: float) -> str:
         ),
     )
     summary = (
-        "Scalar and vector kernel modes answer bit-identically with identical "
-        "launch/op counts; warm relational queries reuse the memoized parse "
-        f"states and launch {warm_launches[0]} kernels vs the baseline's "
+        "G-TADOC and the baseline answer bit-identically; warm relational "
+        "queries reuse the memoized parse states and launch "
+        f"{warm_launches[0]} kernels vs the baseline's "
         f"{baseline_launches[1]}; trajectory written to {BENCH_JSON.name}."
     )
     return table + "\n\n" + summary

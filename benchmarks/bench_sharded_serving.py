@@ -53,8 +53,8 @@ REQUESTS_PER_CORPUS = 12
 NUM_THREADS = 8
 NUM_SHARDS = 3
 MAX_SESSIONS_PER_DEVICE = 2
-#: Transport measurements merge into the serving perf trajectory so the
-#: CI artifact tracks wire traffic next to the kernel-mode numbers.
+#: Transport measurements merge into the serving perf trajectory, which
+#: CI uploads as an artifact.
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_JSON = REPO_ROOT / "BENCH_serving.json"
 
@@ -180,8 +180,8 @@ def _build_report(scale: float) -> str:
 def _merge_trajectory(measurements: dict) -> None:
     """Fold this benchmark's measurements into ``BENCH_serving.json``.
 
-    The kernel-mode benchmark owns the file; this one only updates its
-    own key, so either can run (and CI can upload) independently.
+    Only this benchmark's own key is rewritten; any other key in the
+    file is kept.
     """
     trajectory = {}
     if BENCH_JSON.exists():

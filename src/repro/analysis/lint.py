@@ -3,7 +3,7 @@
 Generic linters check Python; this engine checks *this codebase*.  The
 invariants the repo's correctness rests on — locks acquired in the
 canonical hierarchy order, every simulated kernel routed through the
-device, scalar/vector kernel parity, every task with a plan, no
+device, reference/bulk kernel parity, every task with a plan, no
 nondeterminism in compute paths — are structural facts about the whole
 source tree, not single files, so each rule receives a :class:`Project`
 (every parsed module, addressable by repo-relative path) and returns

@@ -2,9 +2,9 @@
 
 Simulated launches must replay bit-identically: the serving layer's
 result cache keys on corpus fingerprint + config, the replay harness
-re-executes recorded traces, and the scalar/vector equivalence tests
-compare exact counter values.  Any unseeded RNG or wall-clock read
-inside a compute module breaks all three silently.  This rule flags, in
+re-executes recorded traces, and the kernel oracle test compares exact
+counter values.  Any unseeded RNG or wall-clock read inside a compute
+module breaks all three silently.  This rule flags, in
 the compute packages only (``core``, ``gpusim``, ``compression``,
 ``analytics``, ``relational``, ``baselines``, ``perf``, ``cluster``):
 

@@ -7,13 +7,15 @@ Two invariants keep the performance model trustworthy:
   ``gpusim/device.py`` (the ``launch``/``launch_bulk``/``launch_modelled``
   entry points).  Anywhere else, constructing one bypasses the device —
   the launch never lands in ``launch_history``, never charges occupancy,
-  and silently drifts from the scalar/vector accounting that the
-  equivalence tests pin down.
-* **Scalar/vector parity.**  Every kernel name launched by the scalar
-  reference walkers in ``core/traversal.py`` must also be launched by a
-  bulk counterpart in ``core/vectorized.py`` (parity by launch-name
-  set): the bit-identical-stats contract is only testable for kernels
-  that exist on both sides.
+  and silently drifts from the per-kernel accounting that the kernel
+  oracle pins down.
+* **Reference/bulk parity.**  Every kernel name launched by the
+  per-thread reference kernels in ``core/traversal.py`` must also be
+  launched by a bulk port in ``core/vectorized.py`` (parity by
+  launch-name set).  The runtime runs only the bulk ports, so a
+  reference without a port is dead code, and the oracle test
+  (``tests/test_kernel_oracle.py``), which compares every port with its
+  reference, cannot cover it.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def _launch_names(source: SourceFile, methods: Set[str]) -> Dict[str, int]:
     return names
 
 
-@rule(RULE, "kernels launch only via GPUDevice, with scalar/vector name parity")
+@rule(RULE, "kernels launch only via GPUDevice, with reference/bulk name parity")
 def check(project: Project) -> List[Finding]:
     findings: List[Finding] = []
 
@@ -78,9 +80,9 @@ def check(project: Project) -> List[Finding]:
         for name in sorted(set(scalar_names) - set(vector_names)):
             findings.append(scalar.finding(
                 RULE, scalar_names[name],
-                f"scalar kernel {name!r} has no vectorized counterpart launch in "
-                f"{_VECTOR_MODULE}; the scalar/vector bit-identity contract "
-                f"requires name-set parity",
+                f"reference kernel {name!r} has no bulk port launch in "
+                f"{_VECTOR_MODULE}; the runtime and the kernel oracle need "
+                f"name-set parity",
             ))
 
     return findings

@@ -196,19 +196,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--scale", type=float, default=0.1, help="dataset analogue scale")
     serve.add_argument("--requests", type=int, default=64, help="trace length")
-    serve.add_argument("--threads", type=int, default=8, help="concurrent worker threads")
+    serve.add_argument(
+        "--clients",
+        type=_positive_int,
+        default=8,
+        help="concurrent clients: worker threads, or in-flight requests with --async",
+    )
     serve.add_argument("--seed", type=int, default=17, help="trace randomness seed")
     serve.add_argument(
         "--async",
         dest="use_async",
         action="store_true",
         help="replay through the asyncio front end (every request in flight as a coroutine)",
-    )
-    serve.add_argument(
-        "--concurrency",
-        type=int,
-        default=32,
-        help="max in-flight requests for --async replays",
     )
     serve.add_argument(
         "--shards",
@@ -558,10 +557,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     try:
         if args.requests < 1:
             raise ValueError(f"--requests must be a positive integer (got {args.requests})")
-        if args.threads < 1:
-            raise ValueError(f"--threads must be a positive integer (got {args.threads})")
-        if args.concurrency < 1:
-            raise ValueError(f"--concurrency must be a positive integer (got {args.concurrency})")
         if not 0.0 <= args.relational_fraction <= 1.0:
             raise ValueError(
                 f"--relational-fraction must be within [0, 1] (got {args.relational_fraction})"
@@ -607,7 +602,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             service,
             compressed,
             trace,
-            clients=args.concurrency if args.use_async else args.threads,
+            clients=args.clients,
             serial_baseline=not args.no_serial_baseline,
         )
     mode = "asyncio" if args.use_async else "threads"
@@ -618,7 +613,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     rows = [
         ("requests", report.num_requests),
         ("replay mode", f"{mode}+sharded" if args.shards else mode),
-        ("max in-flight requests" if args.use_async else "worker threads", report.clients),
+        ("clients", report.clients),
         ("engine micro-batches", stats.micro_batches),
         ("mean batch size", f"{stats.mean_batch_size:.2f}"),
         ("coalesced queries", stats.coalesced_queries),

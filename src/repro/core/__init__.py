@@ -8,9 +8,12 @@ The sub-modules map onto the paper's sections:
   scheduling, plus the abandoned vertical partitioning for ablations
   (Figure 4),
 * :mod:`repro.core.traversal` — top-down and bottom-up traversal
-  kernels (Algorithms 1 and 2),
+  kernels (Algorithms 1 and 2), one Python call per simulated thread:
+  the reference the bulk kernels are checked against,
 * :mod:`repro.core.sequence` — head/tail buffers and sequence counting
-  (Figures 6-8),
+  (Figures 6-8); the counting kernels are likewise the reference,
+* :mod:`repro.core.vectorized` — the bulk (numpy) ports of those
+  kernels, which are what the engine runs,
 * :mod:`repro.core.strategy` — the adaptive traversal-strategy selector,
 * :mod:`repro.core.tuning` — greedy parameter selection,
 * :mod:`repro.core.session` — the long-lived :class:`DeviceSession`

@@ -329,7 +329,7 @@ class GTadoc:
             session.ensure(BASE_INIT)
             session.ensure(*fused_required_state(strategies, session.config, params))
             fused = GpuRunRecord()
-            device = GPUDevice(record=fused, kernel_mode=session.config.kernel_mode)
+            device = GPUDevice(record=fused)
             pool_before = session.memory_pool_bytes
             raw_results = run_fused_program(session, device, strategies, params)
             results: Dict[Task, GTadocRunResult] = {}
@@ -411,6 +411,6 @@ class GTadoc:
         session.ensure(*plan.required_state(strategy, session.config, params))
 
         marginal = GpuRunRecord()
-        device = GPUDevice(record=marginal, kernel_mode=session.config.kernel_mode)
+        device = GPUDevice(record=marginal)
         raw = plan.traverse(session, device, strategy, params)
         return task, normalize_result(task, raw), strategy, decision, marginal

@@ -52,16 +52,9 @@ from repro.core.session import (
     relational_tables_key,
     sequence_buffers_key,
 )
+from repro.core import vectorized
 from repro.core.strategy import TraversalStrategy
-from repro.core.traversal import (
-    bottomup_per_file_counts,
-    bottomup_word_count,
-    relational_filter_aggregate,
-    topdown_per_file_counts,
-    topdown_word_count,
-)
 from repro.relational.spec import RelationalQuery
-from repro.core.sequence import sequence_counts
 from repro.gpusim.device import GPUDevice
 
 __all__ = [
@@ -144,27 +137,32 @@ class TaskPlan:
 # Shared helpers
 # ----------------------------------------------------------------------------------------
 
-def _filtered_per_file_counts(
+def _corpus_counts(
+    session: DeviceSession, device: GPUDevice, strategy: TraversalStrategy
+) -> Dict[int, int]:
+    """Corpus-wide word-id counts under ``strategy``."""
+    if strategy is TraversalStrategy.TOP_DOWN:
+        return vectorized.topdown_word_count_reduce(
+            session.layout, session.scheduler, device, session.state(RULE_WEIGHTS)
+        )
+    return vectorized.bottomup_word_count_reduce(
+        session.layout, device, session.state(LOCAL_TABLES)
+    )
+
+
+def _per_file_counts(
     session: DeviceSession,
     device: GPUDevice,
     strategy: TraversalStrategy,
     params: QueryParams,
 ) -> List[Dict[int, int]]:
-    """Per-file word-id counts restricted to the query's file subset."""
-    layout = session.layout
+    """Per-file word-id counts, restricted to the query's file subset if it has one."""
     if strategy is TraversalStrategy.TOP_DOWN:
-        return topdown_per_file_counts(
-            layout,
-            session.scheduler,
-            device,
-            file_weights=session.state(FILE_WEIGHTS),
-            file_indices=params.file_indices,
+        return vectorized.topdown_per_file_counts_vec(
+            session.layout, session.scheduler, device, session.state(FILE_WEIGHTS), params.file_indices
         )
-    return bottomup_per_file_counts(
-        layout,
-        device,
-        local_tables=session.state(LOCAL_TABLES),
-        file_indices=params.file_indices,
+    return vectorized.bottomup_per_file_counts_reduce(
+        session.layout, device, session.state(LOCAL_TABLES), params.file_indices
     )
 
 
@@ -203,21 +201,14 @@ def _make_corpus_traverse(task: Task) -> TraverseFn:
         strategy: TraversalStrategy,
         params: QueryParams = DEFAULT_PARAMS,
     ) -> TaskResult:
-        layout = session.layout
         if params.filtered:
-            per_file = _filtered_per_file_counts(session, device, strategy, params)
+            per_file = _per_file_counts(session, device, strategy, params)
             counts: Dict[int, int] = {}
             for file_index in params.file_indices:
                 for word_id, count in per_file[file_index].items():
                     counts[word_id] = counts.get(word_id, 0) + count
-        elif strategy is TraversalStrategy.TOP_DOWN:
-            counts = topdown_word_count(
-                layout, session.scheduler, device, weights=session.state(RULE_WEIGHTS)
-            )
         else:
-            counts = bottomup_word_count(
-                layout, device, local_tables=session.state(LOCAL_TABLES)
-            )
+            counts = _corpus_counts(session, device, strategy)
         word_counts = decode_word_counts(counts, session.compressed.dictionary)
         if task is Task.SORT:
             return word_count_to_sort(word_counts)
@@ -245,19 +236,10 @@ def _make_file_traverse(task: Task) -> TraverseFn:
         strategy: TraversalStrategy,
         params: QueryParams = DEFAULT_PARAMS,
     ) -> TaskResult:
-        layout = session.layout
+        per_file = _per_file_counts(session, device, strategy, params)
         if params.filtered:
-            per_file = _filtered_per_file_counts(session, device, strategy, params)
             term_vector = _decode_file_subset(session, per_file, params)
         else:
-            if strategy is TraversalStrategy.TOP_DOWN:
-                per_file = topdown_per_file_counts(
-                    layout, session.scheduler, device, file_weights=session.state(FILE_WEIGHTS)
-                )
-            else:
-                per_file = bottomup_per_file_counts(
-                    layout, device, local_tables=session.state(LOCAL_TABLES)
-                )
             term_vector = decode_per_file_counts(
                 per_file, session.compressed.file_names, session.compressed.dictionary
             )
@@ -307,14 +289,10 @@ def _sequence_traverse(
         )
     else:
         weights = session.state(RULE_WEIGHTS)
-    counts = sequence_counts(
-        session.layout,
-        session.scheduler,
-        device,
-        buffers,
-        weights,
-        length,
-        file_indices=params.file_indices,
+    if length != buffers.sequence_length:
+        raise ValueError("sequence_length does not match the prepared buffers")
+    counts = vectorized.sequence_counts_vec(
+        session.layout, session.scheduler, device, buffers, weights, length, params.file_indices
     )
     return decode_sequence_counts(counts, session.compressed.dictionary)
 
@@ -347,8 +325,8 @@ def _relational_traverse(
 ) -> TaskResult:
     spec = _relational_spec(params)
     rows = session.state(relational_rows_key(spec.schema))
-    return relational_filter_aggregate(
-        session.layout, device, spec, rows, file_indices=params.file_indices
+    return vectorized.relational_filter_aggregate_vec(
+        session.layout, device, spec, rows, params.file_indices
     )
 
 
@@ -444,7 +422,6 @@ def run_fused_program(
     counting keeps its own head/tail pipeline.  Results are identical
     to per-task execution; the caller attributes the fused record.
     """
-    layout = session.layout
     executed = fused_execution_strategies(strategies)
     corpus_tasks, file_tasks, sequence_tasks, relational_tasks = _fused_families(
         list(strategies)
@@ -454,16 +431,7 @@ def run_fused_program(
     per_file: Optional[List[Dict[int, int]]] = None
     if file_tasks or (corpus_tasks and params.filtered):
         lead = file_tasks[0] if file_tasks else corpus_tasks[0]
-        if params.filtered:
-            per_file = _filtered_per_file_counts(session, device, executed[lead], params)
-        elif executed[lead] is TraversalStrategy.TOP_DOWN:
-            per_file = topdown_per_file_counts(
-                layout, session.scheduler, device, file_weights=session.state(FILE_WEIGHTS)
-            )
-        else:
-            per_file = bottomup_per_file_counts(
-                layout, device, local_tables=session.state(LOCAL_TABLES)
-            )
+        per_file = _per_file_counts(session, device, executed[lead], params)
 
     if corpus_tasks:
         if per_file is not None:
@@ -478,12 +446,8 @@ def run_fused_program(
                     compute_ops=float(sum(len(file_counts) for file_counts in per_file)),
                     memory_bytes=8.0 * len(per_file),
                 )
-        elif executed[corpus_tasks[0]] is TraversalStrategy.TOP_DOWN:
-            counts = topdown_word_count(
-                layout, session.scheduler, device, weights=session.state(RULE_WEIGHTS)
-            )
         else:
-            counts = bottomup_word_count(layout, device, local_tables=session.state(LOCAL_TABLES))
+            counts = _corpus_counts(session, device, executed[corpus_tasks[0]])
         word_counts = decode_word_counts(counts, session.compressed.dictionary)
         for task in corpus_tasks:
             results[task] = word_count_to_sort(word_counts) if task is Task.SORT else word_counts

@@ -23,6 +23,12 @@ The implementation has the paper's two phases:
    a global thread-safe hash table.  The root is processed per file
    segment so sequences never cross file boundaries.
 
+Phase 1's ``initHeadTailKernel`` has no bulk port, so the engine runs it
+from here.  Phase 2's :func:`sequence_counts` is the per-thread
+reference of :func:`repro.core.vectorized.sequence_counts_vec`, which
+the engine runs instead; ``tests/test_kernel_oracle.py`` checks the two
+kernel by kernel.
+
 Counting scheme
 ---------------
 Every *l*-gram occurrence in the corpus is attributed to exactly one
@@ -300,12 +306,6 @@ def sequence_counts(
     """
     if sequence_length != buffers.sequence_length:
         raise ValueError("sequence_length does not match the prepared buffers")
-    if device.kernel_mode == "vector":
-        from repro.core import vectorized
-
-        return vectorized.sequence_counts_vec(
-            layout, scheduler, device, buffers, weights, sequence_length, file_indices
-        )
     allowed = frozenset(file_indices) if file_indices is not None else None
 
     local_counts: Dict[Tuple[int, ...], int] = {}

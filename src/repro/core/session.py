@@ -37,20 +37,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.lockcheck import make_lock
 from repro.compression.compressor import CompressedCorpus
+from repro.core import vectorized
 from repro.core.layout import DeviceRuleLayout
 from repro.core.scheduler import DEFAULT_OVERSIZE_THRESHOLD, FineGrainedScheduler
 from repro.core.sequence import build_sequence_buffers, head_tail_upper_limit
-from repro.core.traversal import (
-    assemble_relational_rows,
-    build_local_tables_bottomup,
-    build_relational_tables,
-    compute_file_weights_topdown,
-    compute_rule_weights_topdown,
-    prepare_bottomup,
-)
+from repro.core.traversal import allocate_local_tables
 from repro.gpusim.device import GPUDevice
 from repro.gpusim.memory_pool import MemoryPool
-from repro.perf import workcosts as wc
 from repro.perf.counters import GpuRunRecord
 
 __all__ = [
@@ -84,16 +77,6 @@ class GTadocConfig:
     #: Charge PCIe transfers of the compressed data (large datasets that do
     #: not fit in GPU memory; see §VI-A "Methodology").
     needs_pcie_transfer: bool = False
-    #: Kernel execution mode: ``"vector"`` runs the hot kernels as numpy
-    #: bulk array operations (:mod:`repro.core.vectorized`), ``"scalar"``
-    #: interprets every simulated thread in Python.  Results and recorded
-    #: :class:`~repro.perf.counters.KernelStats` are bit-identical; the
-    #: scalar path is kept for equivalence testing and as the reference.
-    kernel_mode: str = "vector"
-
-    def __post_init__(self) -> None:
-        if self.kernel_mode not in ("scalar", "vector"):
-            raise ValueError(f"kernel_mode must be 'scalar' or 'vector', got {self.kernel_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -317,7 +300,6 @@ class DeviceSession:
         next batch exactly like first-time construction would be.
         """
         from repro.core import delta as gd
-        from repro.core.traversal import allocate_local_tables
 
         self._layout = delta.new_layout
         self._scheduler = None
@@ -327,9 +309,6 @@ class DeviceSession:
             entry = _CachedState(key=key, value=value, record=record, phase=phase)
             self._states[key] = entry
             self._pending.append(entry)
-
-        def device_for(record: GpuRunRecord) -> GPUDevice:
-            return GPUDevice(record=record, kernel_mode=self.config.kernel_mode)
 
         # The pool's owner ids are rule ids, which the new epoch renumbers:
         # re-carve a fresh pool for the new layout (host-side bookkeeping,
@@ -341,12 +320,12 @@ class DeviceSession:
 
         if BASE_INIT in old_states:
             record = GpuRunRecord()
-            rebuilt(BASE_INIT, gd.delta_prep(delta, device_for(record)), record)
+            rebuilt(BASE_INIT, gd.delta_prep(delta, GPUDevice(record=record)), record)
 
         bounds: Optional[List[int]] = None
         if BOTTOMUP_BOUNDS in old_states:
             record = GpuRunRecord()
-            bounds = gd.delta_bounds(delta, old_states[BOTTOMUP_BOUNDS].value, device_for(record))
+            bounds = gd.delta_bounds(delta, old_states[BOTTOMUP_BOUNDS].value, GPUDevice(record=record))
             if pool is not None:
                 allocate_local_tables(pool, bounds)
             rebuilt(BOTTOMUP_BOUNDS, bounds, record)
@@ -355,7 +334,7 @@ class DeviceSession:
             record = GpuRunRecord()
             rebuilt(
                 LOCAL_TABLES,
-                gd.delta_local_tables(delta, old_states[LOCAL_TABLES].value, device_for(record)),
+                gd.delta_local_tables(delta, old_states[LOCAL_TABLES].value, GPUDevice(record=record)),
                 record,
             )
 
@@ -363,7 +342,7 @@ class DeviceSession:
             record = GpuRunRecord()
             rebuilt(
                 RULE_WEIGHTS,
-                gd.delta_rule_weights(delta, old_states[RULE_WEIGHTS].value, device_for(record)),
+                gd.delta_rule_weights(delta, old_states[RULE_WEIGHTS].value, GPUDevice(record=record)),
                 record,
             )
 
@@ -371,7 +350,7 @@ class DeviceSession:
             record = GpuRunRecord()
             rebuilt(
                 FILE_WEIGHTS,
-                gd.delta_file_weights(delta, old_states[FILE_WEIGHTS].value, device_for(record)),
+                gd.delta_file_weights(delta, old_states[FILE_WEIGHTS].value, GPUDevice(record=record)),
                 record,
             )
 
@@ -382,12 +361,12 @@ class DeviceSession:
                     self._allocate_sequence_owners(pool, key.param)
                 record = GpuRunRecord()
                 rebuilt(
-                    key, gd.delta_sequence_buffers(delta, entry.value, device_for(record)), record
+                    key, gd.delta_sequence_buffers(delta, entry.value, GPUDevice(record=record)), record
                 )
             elif key.kind == "relational_tables":
                 record = GpuRunRecord()
                 states = gd.delta_relational_tables(
-                    delta, entry.value, key.param, self.compressed.dictionary, device_for(record)
+                    delta, entry.value, key.param, self.compressed.dictionary, GPUDevice(record=record)
                 )
                 if states is None:
                     # New anchor words: the schema's states cannot survive;
@@ -466,7 +445,7 @@ class DeviceSession:
             elif key.kind == "relational_rows":
                 self._ensure(relational_tables_key(key.param))
             record = GpuRunRecord()
-            device = GPUDevice(record=record, kernel_mode=self.config.kernel_mode)
+            device = GPUDevice(record=record)
             value = self._build(key, device)
             phase = "initialization" if key.kind in _INIT_PHASE_KINDS else "traversal"
             entry = _CachedState(key=key, value=value, record=record, phase=phase)
@@ -479,24 +458,25 @@ class DeviceSession:
         if key == BASE_INIT:
             return self._build_base_init(device)
         if key == BOTTOMUP_BOUNDS:
-            return prepare_bottomup(layout, device, self.memory_pool)
+            bounds = vectorized.prepare_bottomup_vec(layout, device)
+            pool = self.memory_pool
+            if pool is not None:
+                allocate_local_tables(pool, bounds)
+            return bounds
         if key == LOCAL_TABLES:
-            bounds = self._states[BOTTOMUP_BOUNDS].value
-            local_tables, _bounds = build_local_tables_bottomup(
-                layout, device, memory_pool=self.memory_pool, bounds=bounds
-            )
-            return local_tables
+            # The bounds pass, always built first, already carved the tables.
+            return vectorized.build_local_tables_vec(layout, device)
         if key == RULE_WEIGHTS:
-            return compute_rule_weights_topdown(layout, device)
+            return vectorized.compute_rule_weights(layout, device)
         if key == FILE_WEIGHTS:
-            return compute_file_weights_topdown(layout, device)
+            return vectorized.compute_file_weights(layout, device)
         if key.kind == "relational_tables":
-            return build_relational_tables(
+            return vectorized.build_relational_tables_vec(
                 layout, device, key.param, self.compressed.dictionary
             )
         if key.kind == "relational_rows":
             states = self._states[relational_tables_key(key.param)].value
-            return assemble_relational_rows(
+            return vectorized.assemble_relational_rows_vec(
                 layout, device, key.param, states, self.compressed.dictionary
             )
         if key.kind == "sequence_buffers":
@@ -545,25 +525,5 @@ class DeviceSession:
         device.record.host_counter.charge(
             compute_ops=4.0 * layout.num_rules, memory_bytes=8.0 * layout.num_rules
         )
-
-        if device.kernel_mode == "vector":
-            from repro.core.vectorized import data_structure_prep
-
-            data_structure_prep(layout, device)
-            return True
-
-        def prep_kernel(tid: int, ctx) -> None:
-            rule_id = tid
-            if rule_id >= layout.num_rules:
-                return
-            # Each thread formats its rule's adjacency and local word table
-            # into the device layout (the "data structure preparation" +
-            # "light-weight scanning" box of Figure 3).
-            length = layout.rule_lengths[rule_id]
-            ctx.charge(
-                ops=wc.SYMBOL_VISIT_OPS * length + wc.MASK_CHECK_OPS,
-                memory_bytes=wc.SYMBOL_VISIT_BYTES * length,
-            )
-
-        device.launch("dataStructurePrepKernel", prep_kernel, max(1, layout.num_rules))
+        vectorized.data_structure_prep(layout, device)
         return True

@@ -1,9 +1,13 @@
-"""Top-down and bottom-up DAG traversal kernels (Algorithms 1 and 2).
+"""Per-thread reference kernels: preparation and DAG traversals (Algorithms 1 and 2).
 
-Every function here launches simulated GPU kernels through a
-:class:`~repro.gpusim.device.GPUDevice`, so the work they perform is
-recorded per kernel and can be priced later.  The traversals follow the
-paper's algorithms closely:
+Every function here launches simulated GPU kernels through
+:meth:`~repro.gpusim.device.GPUDevice.launch`, which calls one Python
+function per simulated thread.  They are the specification of the
+kernels, not the runtime path: the engine runs their bulk ports in
+:mod:`repro.core.vectorized`, and ``tests/test_kernel_oracle.py`` checks
+every port against its reference here, kernel by kernel, for equal
+results and an equal :class:`~repro.perf.counters.GpuRunRecord`.  The
+traversals follow the paper's algorithms closely:
 
 * **top-down** (Algorithm 1): rule weights (occurrence counts, or
   per-file occurrence counts for file-sensitive tasks) are pushed from
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core import vectorized
 from repro.core.layout import DeviceRuleLayout
 from repro.core.scheduler import FineGrainedScheduler
 from repro.gpusim.device import GPUDevice
@@ -31,6 +34,7 @@ from repro.gpusim.memory_pool import MemoryPool
 from repro.perf import workcosts as wc
 
 __all__ = [
+    "data_structure_prep",
     "compute_rule_weights_topdown",
     "compute_file_weights_topdown",
     "topdown_word_count",
@@ -47,6 +51,29 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------------------------
+# Initialization phase
+# ----------------------------------------------------------------------------------------
+
+def data_structure_prep(layout: DeviceRuleLayout, device: GPUDevice) -> None:
+    """``dataStructurePrepKernel``: Figure 3's data-structure preparation."""
+
+    def prep_kernel(tid: int, ctx) -> None:
+        rule_id = tid
+        if rule_id >= layout.num_rules:
+            return
+        # Each thread formats its rule's adjacency and local word table
+        # into the device layout (the "data structure preparation" +
+        # "light-weight scanning" box of Figure 3).
+        length = layout.rule_lengths[rule_id]
+        ctx.charge(
+            ops=wc.SYMBOL_VISIT_OPS * length + wc.MASK_CHECK_OPS,
+            memory_bytes=wc.SYMBOL_VISIT_BYTES * length,
+        )
+
+    device.launch("dataStructurePrepKernel", prep_kernel, max(1, layout.num_rules))
+
+
+# ----------------------------------------------------------------------------------------
 # Top-down traversal (Algorithm 1)
 # ----------------------------------------------------------------------------------------
 
@@ -56,8 +83,6 @@ def compute_rule_weights_topdown(layout: DeviceRuleLayout, device: GPUDevice) ->
     Returns ``weights[r]`` = number of times rule ``r`` occurs in the
     corpus expansion.  The root's weight is 1 by definition.
     """
-    if device.kernel_mode == "vector":
-        return vectorized.compute_rule_weights(layout, device)
     num_rules = layout.num_rules
     weights = [0] * num_rules
     weights[0] = 1
@@ -119,8 +144,6 @@ def topdown_word_count(
     """Corpus-wide word counts via the top-down traversal (Algorithm 1)."""
     if weights is None:
         weights = compute_rule_weights_topdown(layout, device)
-    if device.kernel_mode == "vector":
-        return vectorized.topdown_word_count_reduce(layout, scheduler, device, weights)
     table = DeviceHashTable.sized_for(layout.vocabulary_size)
 
     rule_ids = list(range(layout.num_rules))
@@ -154,8 +177,6 @@ def compute_file_weights_topdown(
     corpus has very many files (section VI-C).  The tables only depend
     on the DAG, so they are shared by every file-sensitive task.
     """
-    if device.kernel_mode == "vector":
-        return vectorized.compute_file_weights(layout, device)
     num_rules = layout.num_rules
     file_weights: List[Dict[int, int]] = [dict() for _ in range(num_rules)]
     cur_in_edges = [0] * num_rules
@@ -232,11 +253,6 @@ def topdown_per_file_counts(
     num_rules = layout.num_rules
     if file_weights is None:
         file_weights = compute_file_weights_topdown(layout, device)
-    if device.kernel_mode == "vector":
-        return vectorized.topdown_per_file_counts_vec(
-            layout, scheduler, device, file_weights, file_indices
-        )
-
     per_file_counts: List[Dict[int, int]] = [dict() for _ in range(layout.num_files)]
 
     if file_indices is not None:
@@ -404,11 +420,6 @@ def prepare_bottomup(
     pass that sizes every rule's local table, and (when a memory pool is
     supplied) allocates those tables from the pool.  Returns the bounds.
     """
-    if device.kernel_mode == "vector":
-        bounds = vectorized.prepare_bottomup_vec(layout, device)
-        if memory_pool is not None:
-            allocate_local_tables(memory_pool, bounds)
-        return bounds
     num_rules = layout.num_rules
 
     def gen_parents_kernel(tid: int, ctx) -> None:
@@ -448,8 +459,6 @@ def build_local_tables_bottomup(
         bounds = prepare_bottomup(layout, device, memory_pool)
     elif memory_pool is not None:
         allocate_local_tables(memory_pool, bounds)
-    if device.kernel_mode == "vector":
-        return vectorized.build_local_tables_vec(layout, device), bounds
 
     local_tables: List[Dict[int, int]] = [dict() for _ in range(num_rules)]
     cur_out_edges = [0] * num_rules
@@ -511,8 +520,6 @@ def bottomup_word_count(
     """Corpus-wide word counts via the bottom-up traversal (Algorithm 2)."""
     if local_tables is None:
         local_tables, _bounds = build_local_tables_bottomup(layout, device, memory_pool)
-    if device.kernel_mode == "vector":
-        return vectorized.bottomup_word_count_reduce(layout, device, local_tables)
     table = DeviceHashTable.sized_for(layout.vocabulary_size)
 
     # Level-2 nodes: the root's direct children, with their root frequencies.
@@ -559,10 +566,6 @@ def bottomup_per_file_counts(
     """
     if local_tables is None:
         local_tables, _bounds = build_local_tables_bottomup(layout, device, memory_pool)
-    if device.kernel_mode == "vector":
-        return vectorized.bottomup_per_file_counts_reduce(
-            layout, device, local_tables, file_indices
-        )
     per_file_counts: List[Dict[int, int]] = [dict() for _ in range(layout.num_files)]
     targets = sorted(set(file_indices)) if file_indices is not None else None
 
@@ -608,8 +611,6 @@ def build_relational_tables(
     """
     from repro.relational import compute as rc
 
-    if device.kernel_mode == "vector":
-        return vectorized.build_relational_tables_vec(layout, device, schema, dictionary)
     anchors = rc.anchor_ids(schema, dictionary)
     caps = rc.schema_caps(schema)
     num_anchors = len(anchors)
@@ -676,10 +677,6 @@ def assemble_relational_rows(
     """
     from repro.relational import compute as rc
 
-    if device.kernel_mode == "vector":
-        return vectorized.assemble_relational_rows_vec(
-            layout, device, schema, states, dictionary
-        )
     anchors = rc.anchor_ids(schema, dictionary)
     caps = rc.schema_caps(schema)
     num_fields = len(schema.fields)
@@ -727,10 +724,6 @@ def relational_filter_aggregate(
     """
     from repro.relational import compute as rc
 
-    if device.kernel_mode == "vector":
-        return vectorized.relational_filter_aggregate_vec(
-            layout, device, spec, rows, file_indices
-        )
     schema = spec.schema
     targets = (
         sorted(set(file_indices)) if file_indices is not None else list(range(layout.num_files))

@@ -1,25 +1,31 @@
-"""Bulk (numpy) implementations of the hot simulated kernels.
+"""Bulk (numpy) kernels: the engine's one runtime kernel path.
 
-The scalar kernels in :mod:`repro.core.traversal` and
+The reference kernels in :mod:`repro.core.traversal` and
 :mod:`repro.core.sequence` execute every simulated GPU thread as a
-Python callback, which models launches faithfully but makes wall-clock
-time interpreter-bound.  This module re-implements the hottest kernels
-as numpy array programs over CSR-style flattened layouts that are
-precomputed once per :class:`~repro.core.layout.DeviceRuleLayout` and
-cached on it, then records each launch through
+Python callback, which specifies each launch faithfully but makes
+wall-clock time interpreter-bound.  This module implements the same
+kernels as numpy array programs over CSR-style flattened layouts that
+are precomputed once per :class:`~repro.core.layout.DeviceRuleLayout`
+and cached on it, then records each launch through
 :meth:`~repro.gpusim.device.GPUDevice.launch_bulk` with per-thread work
-vectors.
+vectors.  The session and the task plans call these functions directly;
+only kernels without a bulk port (the head/tail buffers and the
+delta-maintenance kernels) still run per thread.
 
 Equivalence contract
 --------------------
-For every ported kernel the vector path produces
+For every ported kernel the bulk port produces
 
 * **bit-identical results** (all charged quantities and table values are
   integers, and every accumulation is reassociated only over integer
   sums, which float64 represents exactly below 2**53), and
 * **identical** :class:`~repro.perf.counters.KernelStats` — the same
   launch count, thread count, per-warp serial ops, totals, atomics and
-  conflict counts the scalar interpreter loop would have recorded.
+  conflict counts the per-thread reference records.
+
+``tests/test_kernel_oracle.py`` checks this contract kernel by kernel
+against the references, and fails if a kernel launched here has no
+comparison.
 
 The hash-table cost model in :func:`_hash_program` mirrors
 :meth:`repro.gpusim.hashtable.DeviceHashTable.insert_add` exactly:

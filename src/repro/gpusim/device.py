@@ -1,12 +1,11 @@
 """Simulated GPU device: kernel launch, warp grouping, work recording.
 
-The device executes kernels functionally (every thread really runs, so
-results are exact) and records their work as
-:class:`~repro.perf.counters.KernelStats`.  The SIMT execution model is
-captured by aggregating per-thread operation counts into per-warp
-maxima: a warp is only as fast as its slowest thread, which is exactly
-the workload-imbalance effect the paper's fine-grained scheduler is
-designed to mitigate (section IV-B).
+The device executes kernels functionally, so results are exact, and
+records their work as :class:`~repro.perf.counters.KernelStats`.  The
+SIMT execution model is captured by aggregating per-thread operation
+counts into per-warp maxima: a warp is only as fast as its slowest
+thread, which is exactly the workload-imbalance effect the paper's
+fine-grained scheduler is designed to mitigate (section IV-B).
 """
 
 from __future__ import annotations
@@ -47,6 +46,14 @@ class KernelLaunch:
 class GPUDevice:
     """A simulated CUDA device.
 
+    The engine's kernels are bulk numpy programs that report per-thread
+    work vectors through :meth:`launch_bulk`.  :meth:`launch` calls one
+    Python function per simulated thread; it runs the per-thread
+    reference kernels, which specify the bulk ones, and the few kernels
+    that have no bulk port.  Both record the same
+    :class:`KernelStats` for the same work.  :meth:`launch_modelled`
+    records closed-form work models of the baselines.
+
     Parameters
     ----------
     spec:
@@ -56,11 +63,6 @@ class GPUDevice:
     record:
         Optional :class:`GpuRunRecord` that every launch appends to; the
         engine swaps records between phases.
-    kernel_mode:
-        ``"scalar"`` runs kernels thread by thread through
-        :meth:`launch`; ``"vector"`` tells kernel implementations to use
-        :meth:`launch_bulk` with numpy per-thread work vectors instead.
-        Both modes produce bit-identical results and :class:`KernelStats`.
     history_limit:
         Bound on :attr:`launch_history` (``None`` = unbounded).
     """
@@ -69,15 +71,11 @@ class GPUDevice:
         self,
         spec: Optional[GPUSpec] = None,
         record: Optional[GpuRunRecord] = None,
-        kernel_mode: str = "scalar",
         history_limit: Optional[int] = DEFAULT_HISTORY_LIMIT,
     ) -> None:
-        if kernel_mode not in ("scalar", "vector"):
-            raise ValueError(f"unknown kernel_mode: {kernel_mode!r}")
         self.spec = spec
         self.warp_size = spec.warp_size if spec is not None else 32
         self.record = record if record is not None else GpuRunRecord()
-        self.kernel_mode = kernel_mode
         self.launch_history: "deque[KernelLaunch]" = deque(maxlen=history_limit)
 
     # -- record management -----------------------------------------------------------
@@ -160,12 +158,12 @@ class GPUDevice:
         The vectorized kernel implementations compute their results with
         numpy array operations and report per-thread work as float64
         vectors of length ``num_threads``.  This method aggregates them
-        into the exact :class:`KernelStats` the scalar :meth:`launch`
+        into the exact :class:`KernelStats` the per-thread :meth:`launch`
         loop would produce: per-warp serial ops are the per-warp maxima
         of ``thread_ops`` (pad to a warp multiple, reshape into warp
         blocks, max, sum), totals are plain sums.  All charged quantities
         are integer-valued floats, so numpy summation is exact and
-        order-independent — the stats match the scalar path bit for bit.
+        order-independent — the stats match the per-thread loop bit for bit.
         """
         if num_threads <= 0:
             raise ValueError("a kernel launch needs at least one thread")

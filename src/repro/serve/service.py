@@ -123,12 +123,6 @@ class ServiceConfig:
     result_cache_bytes: Optional[int] = None
     #: Seconds a cached result stays servable (``None`` = no TTL).
     result_cache_ttl: Optional[float] = None
-    #: Fuse micro-batches that mix distinct tasks into one shared
-    #: traversal pass (:meth:`~repro.core.engine.GTadoc.run_fused`):
-    #: each result family's primitive runs once for the whole batch, so
-    #: launches/query drops below the plain coalescing floor.  Results
-    #: stay bit-identical to per-query execution.
-    fuse_batches: bool = True
 
     def __post_init__(self) -> None:
         if self.max_sessions < 1:
@@ -540,9 +534,10 @@ class ServingCore:
         indices = _file_indices_for(entry.compressed.file_names, lead.files)
         tasks = list(dict.fromkeys(slot.query.task for slot in batch))
         # A batch mixing distinct tasks compiles into one fused traversal
-        # pass (family primitives run once); uniform batches already
-        # collapse to a single execution inside run_batch.
-        fused = self.config.fuse_batches and len(tasks) > 1
+        # pass (family primitives run once, so launches/query drops below
+        # the plain coalescing floor); uniform batches already collapse to
+        # a single execution inside run_batch.
+        fused = len(tasks) > 1
         runner = entry.engine.run_fused if fused else entry.engine.run_batch
         result_batch = runner(
             tasks,

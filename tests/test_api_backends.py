@@ -25,7 +25,6 @@ from repro.api import (
 from repro.api.registry import _REGISTRY
 from repro.cluster.simulator import ClusterSpec
 from repro.core.engine import GTadocRunResult
-from repro.core.session import GTadocConfig
 from repro.core.strategy import TraversalStrategy
 
 ALL_BACKENDS = ("gtadoc", "cpu", "parallel", "distributed", "gpu_uncompressed", "reference")
@@ -451,53 +450,6 @@ class TestGTadocServingPath:
                 Task.SEQUENCE_COUNT
             )
             assert results_equal(Task.SEQUENCE_COUNT, outcome.result, expected)
-
-
-@pytest.fixture(scope="module")
-def mode_backends(tiny_compressed):
-    """The G-TADOC backend opened once per kernel mode."""
-    return {
-        mode: open_backend(
-            "gtadoc", tiny_compressed, config=GTadocConfig(kernel_mode=mode)
-        )
-        for mode in ("scalar", "vector")
-    }
-
-
-class TestKernelModeEquivalence:
-    """The tentpole acceptance criterion: the vectorized kernel path is
-    bit-identical to the interpreted scalar path — same results AND the
-    same simulated launch/op counts — for every task, at two sequence
-    lengths, and under a file-subset filter."""
-
-    @pytest.mark.parametrize("task", Task.all())
-    def test_vector_matches_scalar_bit_for_bit(self, mode_backends, tiny_compressed, task):
-        subset = tuple(tiny_compressed.file_names[:2])
-        queries = [
-            Query(task=task, sequence_length=length)
-            for length in MATRIX_SEQUENCE_LENGTHS
-        ] + [
-            Query(task=task, sequence_length=MATRIX_SEQUENCE_LENGTHS[0], files=subset),
-        ]
-        for query in queries:
-            scalar = mode_backends["scalar"].run(query)
-            vector = mode_backends["vector"].run(query)
-            assert scalar.result == vector.result, query.describe()
-            assert scalar.kernel_launches == vector.kernel_launches, query.describe()
-            assert scalar.ops == vector.ops, query.describe()
-
-    def test_traversal_overrides_agree_across_modes(self, mode_backends):
-        for strategy in (TraversalStrategy.TOP_DOWN, TraversalStrategy.BOTTOM_UP):
-            query = Query(task=Task.TERM_VECTOR, traversal=strategy)
-            scalar = mode_backends["scalar"].run(query)
-            vector = mode_backends["vector"].run(query)
-            assert scalar.result == vector.result
-            assert scalar.details["strategy"] == vector.details["strategy"]
-            assert scalar.kernel_launches == vector.kernel_launches
-
-    def test_default_mode_is_vector(self, tiny_compressed):
-        backend = open_backend("gtadoc", tiny_compressed)
-        assert backend.engine.session.config.kernel_mode == "vector"
 
 
 class TestFilteredQueriesDoMarginalWork:

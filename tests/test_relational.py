@@ -6,8 +6,6 @@ directly on the grammar.  The contracts under test:
 
 * spec validation fails at construction, and every spec is hashable;
 * row parsing agrees between the token-scan path and the grammar path;
-* scalar and vector kernel modes are bit-identical — results, kernel
-  launches, per-kernel stats and modelled ops;
 * parse states memoize per schema: a warm query launches strictly
   fewer kernels (exactly filter + aggregate) than a cold one;
 * fused batches answer identically to unfused ones;
@@ -23,7 +21,6 @@ from repro.analytics.base import Task
 from repro.api import Query, available_backends, open_backend
 from repro.compression.compressor import compress_corpus
 from repro.core.engine import GTadoc
-from repro.core.session import GTadocConfig
 from repro.data.corpus import Corpus
 from repro.relational import compute as rc
 from repro.relational.spec import (
@@ -205,55 +202,12 @@ class TestRelationalQueryObject:
 
 
 # ----------------------------------------------------------------------------------------
-# Kernel modes: scalar vs vector bit-identity, cold and warm
+# Memoized parse states: warm queries launch only the marginal kernels
 # ----------------------------------------------------------------------------------------
-
-def _kernel_signature(record):
-    return [
-        (
-            k.name,
-            k.num_threads,
-            k.num_warps,
-            k.warp_serial_ops,
-            k.total_thread_ops,
-            k.memory_bytes,
-            k.shared_memory_bytes,
-            k.atomic_ops,
-            k.atomic_conflicts,
-        )
-        for k in record.kernels
-    ]
-
-
-class TestKernelModes:
-    def test_scalar_and_vector_are_bit_identical(self, rel_compressed, spec):
-        outcomes = {}
-        for mode in ("scalar", "vector"):
-            engine = GTadoc(rel_compressed, GTadocConfig(kernel_mode=mode))
-            cold = engine.run_batch([Task.RELATIONAL], relational=spec)
-            warm = engine.run_batch([Task.RELATIONAL], relational=spec)
-            outcomes[mode] = (cold, warm)
-        for phase in (0, 1):
-            s, v = outcomes["scalar"][phase], outcomes["vector"][phase]
-            assert s[Task.RELATIONAL].result == v[Task.RELATIONAL].result
-            assert _kernel_signature(s.init_record) == _kernel_signature(v.init_record)
-            assert _kernel_signature(s.shared_record) == _kernel_signature(v.shared_record)
-            assert _kernel_signature(
-                s[Task.RELATIONAL].traversal_record
-            ) == _kernel_signature(v[Task.RELATIONAL].traversal_record)
-
-    def test_expected_result(self, rel_compressed, spec):
-        outcome = open_backend("gtadoc", rel_compressed).run(rel_query(spec))
-        # frank's unparseable age fails the predicate, so nyc counts 2.
-        assert outcome.result == [
-            ("chi", (2, 35.0)),
-            ("nyc", (2, 30.0)),
-        ]
-
 
 class TestWarmLaunches:
     def test_warm_query_launches_exactly_filter_and_aggregate(self, rel_compressed, spec):
-        engine = GTadoc(rel_compressed, GTadocConfig(kernel_mode="scalar"))
+        engine = GTadoc(rel_compressed)
         cold = engine.run_batch([Task.RELATIONAL], relational=spec)
         cold_launches = (
             cold.init_record.num_launches
@@ -275,7 +229,7 @@ class TestWarmLaunches:
         ]
 
     def test_parse_states_are_per_schema(self, rel_compressed, spec):
-        engine = GTadoc(rel_compressed, GTadocConfig(kernel_mode="scalar"))
+        engine = GTadoc(rel_compressed)
         engine.run_batch([Task.RELATIONAL], relational=spec)
         keyed = RowSchema(fields=(FieldSpec("after_comma", key=","),))
         fresh = engine.run_batch(
@@ -293,7 +247,7 @@ class TestWarmLaunches:
 
 class TestFusionAndSubsets:
     def test_fused_matches_unfused(self, rel_compressed, spec):
-        engine = GTadoc(rel_compressed, GTadocConfig(kernel_mode="vector"))
+        engine = GTadoc(rel_compressed)
         unfused = engine.run_batch(
             [Task.WORD_COUNT, Task.RELATIONAL], relational=spec
         )
@@ -331,6 +285,14 @@ class TestFusionAndSubsets:
 # ----------------------------------------------------------------------------------------
 
 class TestBackendMatrix:
+    def test_expected_result(self, rel_compressed, spec):
+        outcome = open_backend("gtadoc", rel_compressed).run(rel_query(spec))
+        # frank's unparseable age fails the predicate, so nyc counts 2.
+        assert outcome.result == [
+            ("chi", (2, 35.0)),
+            ("nyc", (2, 30.0)),
+        ]
+
     def test_every_backend_answers_bit_identically(self, rel_compressed, spec):
         query = rel_query(spec)
         expected = open_backend("reference", rel_compressed).run(query).result

@@ -30,6 +30,7 @@ from repro.core.session import (
 )
 from repro.core.strategy import TraversalStrategy
 from repro.data.corpus import Corpus
+from repro.data.generators import generate_dataset
 from repro.serve import (
     AnalyticsService,
     AsyncAnalyticsService,
@@ -701,56 +702,70 @@ class TestRunBatchCoalescing:
 # ----------------------------------------------------------------------------------------
 
 class TestMicroBatchFusion:
-    """``ServiceConfig.fuse_batches`` compiles a mixed-task micro-batch
-    into one fused traversal pass: results stay bit-identical to plain
-    coalesced batching while launching strictly fewer kernels."""
+    """A micro-batch mixing distinct tasks compiles into one fused
+    traversal pass: results stay bit-identical to plain coalesced
+    batching while launching strictly fewer kernels.  The unfused
+    baseline routes ``run_fused`` to ``run_batch``."""
 
     MIX = [Query(task=task) for task in Task.all()] + [
         Query(task=Task.SORT, top_k=3),
         Query(task=Task.WORD_COUNT, top_k=5),
     ]
 
-    def _service(self, compressed, fuse_batches):
-        return AnalyticsService(
-            compressed,
-            service_config=ServiceConfig(cache_results=False, fuse_batches=fuse_batches),
-        )
+    def _service(self, compressed):
+        return AnalyticsService(compressed, service_config=ServiceConfig(cache_results=False))
 
-    def test_fused_results_bit_identical_to_unfused(self, tiny_compressed):
-        fused = self._service(tiny_compressed, True).run_batch(self.MIX)
-        unfused = self._service(tiny_compressed, False).run_batch(self.MIX)
+    def _fused_and_unfused(self, monkeypatch, compressed, queries):
+        fused = self._service(compressed)
+        fused_outcomes = fused.run_batch(queries)
+        with monkeypatch.context() as patch:
+            patch.setattr(GTadoc, "run_fused", GTadoc.run_batch)
+            unfused = self._service(compressed)
+            unfused_outcomes = unfused.run_batch(queries)
+        return (fused, fused_outcomes), (unfused, unfused_outcomes)
+
+    def test_fused_results_bit_identical_to_unfused(self, monkeypatch, tiny_compressed):
+        (_, fused), (_, unfused) = self._fused_and_unfused(monkeypatch, tiny_compressed, self.MIX)
         for got, want in zip(fused, unfused):
             assert got.result == want.result, got.query.describe()
 
     def test_fused_results_match_per_query_execution(self, tiny_compressed):
         serial = GTadocBackend(tiny_compressed)
-        for outcome in self._service(tiny_compressed, True).run_batch(self.MIX):
+        for outcome in self._service(tiny_compressed).run_batch(self.MIX):
             assert results_equal(
                 outcome.task, outcome.result, serial.run(outcome.query).result
             ), outcome.query.describe()
 
-    def test_fused_batches_launch_strictly_fewer_kernels(self, tiny_compressed):
-        fused = self._service(tiny_compressed, True)
-        unfused = self._service(tiny_compressed, False)
-        fused.run_batch(self.MIX)
-        unfused.run_batch(self.MIX)
+    def test_fused_batches_launch_strictly_fewer_kernels(self, monkeypatch, tiny_compressed):
+        (fused, _), (unfused, _) = self._fused_and_unfused(monkeypatch, tiny_compressed, self.MIX)
         assert fused.stats().kernel_launches < unfused.stats().kernel_launches
         # Both route the same query stream into the same micro-batches.
         assert fused.stats().micro_batches == unfused.stats().micro_batches
 
+    @pytest.mark.parametrize("dataset", ["A", "B", "C", "D", "E"])
+    def test_fused_trace_launches_fewer_kernels_with_identical_results(
+        self, monkeypatch, dataset
+    ):
+        compressed = compress_corpus(generate_dataset(dataset, scale=0.05))
+        trace = synthesize_trace(
+            compressed.file_names, TraceConfig(num_requests=48, seed=17)
+        )
+        (fused, fused_outcomes), (unfused, unfused_outcomes) = self._fused_and_unfused(
+            monkeypatch, compressed, trace
+        )
+        for got, want in zip(fused_outcomes, unfused_outcomes):
+            assert got.result == want.result, got.query.describe()
+        assert fused.stats().kernel_launches < unfused.stats().kernel_launches
+
     def test_mixed_task_batches_flag_fusion_in_details(self, tiny_compressed):
-        outcomes = self._service(tiny_compressed, True).run_batch(self.MIX)
+        outcomes = self._service(tiny_compressed).run_batch(self.MIX)
         assert all(outcome.details["fused"] for outcome in outcomes)
 
     def test_uniform_batches_do_not_fuse(self, tiny_compressed):
         # A single-task batch already collapses to one execution inside
         # run_batch; there is nothing to fuse across.
         mix = [Query(task=Task.SORT, top_k=k) for k in (2, 3)]
-        outcomes = self._service(tiny_compressed, True).run_batch(mix)
-        assert all(not outcome.details["fused"] for outcome in outcomes)
-
-    def test_fusion_off_flags_every_batch_unfused(self, tiny_compressed):
-        outcomes = self._service(tiny_compressed, False).run_batch(self.MIX)
+        outcomes = self._service(tiny_compressed).run_batch(mix)
         assert all(not outcome.details["fused"] for outcome in outcomes)
 
 

@@ -112,7 +112,7 @@ class TestValueCodec:
         assert roundtrip(event) == event
 
     def test_engine_config(self):
-        config = GTadocConfig(sequence_length=5, kernel_mode="scalar")
+        config = GTadocConfig(sequence_length=5, use_memory_pool=False)
         assert roundtrip(config) == config
 
     def test_run_outcome_drops_raw_keeps_everything_else(self):
