@@ -8,6 +8,9 @@ the one :class:`~repro.api.backend.AnalyticsBackend` protocol.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 import pytest
 
 from repro.analytics.base import Task, results_equal
@@ -24,8 +27,10 @@ from repro.api import (
 )
 from repro.api.registry import _REGISTRY
 from repro.cluster.simulator import ClusterSpec
+from repro.core import sequence, traversal, vectorized
 from repro.core.engine import GTadocRunResult
 from repro.core.strategy import TraversalStrategy
+from repro.gpusim.device import GPUDevice
 
 ALL_BACKENDS = ("gtadoc", "cpu", "parallel", "distributed", "gpu_uncompressed", "reference")
 #: All three serving front ends join the engines in the equivalence matrix.
@@ -450,6 +455,132 @@ class TestGTadocServingPath:
                 Task.SEQUENCE_COUNT
             )
             assert results_equal(Task.SEQUENCE_COUNT, outcome.result, expected)
+
+
+class _ReferenceKernels:
+    """The engine's bulk kernels swapped for their per-thread references.
+
+    While active, every ``vectorized`` function the session and the
+    plans call runs its reference from ``traversal.py`` or
+    ``sequence.py`` instead, and ``GPUDevice.launch_bulk`` raises, so a
+    bulk call site this table misses fails loudly rather than running
+    the bulk path on both sides of a comparison.
+    """
+
+    def __init__(self) -> None:
+        self._bounds = {}
+
+    def prepare_bottomup_vec(self, layout, device):
+        # The session carves the local tables into its pool itself.
+        bounds = traversal.prepare_bottomup(layout, device)
+        self._bounds[id(layout)] = bounds
+        return bounds
+
+    def build_local_tables_vec(self, layout, device):
+        bounds = self._bounds[id(layout)]
+        return traversal.build_local_tables_bottomup(layout, device, bounds=bounds)[0]
+
+    def topdown_word_count_reduce(self, layout, scheduler, device, weights):
+        return traversal.topdown_word_count(layout, scheduler, device, weights=weights)
+
+    def bottomup_word_count_reduce(self, layout, device, local_tables):
+        return traversal.bottomup_word_count(layout, device, local_tables=local_tables)
+
+    def topdown_per_file_counts_vec(self, layout, scheduler, device, file_weights, file_indices):
+        return traversal.topdown_per_file_counts(
+            layout, scheduler, device, file_weights=file_weights, file_indices=file_indices
+        )
+
+    def bottomup_per_file_counts_reduce(self, layout, device, local_tables, file_indices):
+        return traversal.bottomup_per_file_counts(
+            layout, device, local_tables=local_tables, file_indices=file_indices
+        )
+
+    def patches(self):
+        return {
+            "data_structure_prep": traversal.data_structure_prep,
+            "compute_rule_weights": traversal.compute_rule_weights_topdown,
+            "compute_file_weights": traversal.compute_file_weights_topdown,
+            "prepare_bottomup_vec": self.prepare_bottomup_vec,
+            "build_local_tables_vec": self.build_local_tables_vec,
+            "topdown_word_count_reduce": self.topdown_word_count_reduce,
+            "bottomup_word_count_reduce": self.bottomup_word_count_reduce,
+            "topdown_per_file_counts_vec": self.topdown_per_file_counts_vec,
+            "bottomup_per_file_counts_reduce": self.bottomup_per_file_counts_reduce,
+            "sequence_counts_vec": sequence.sequence_counts,
+            "build_relational_tables_vec": traversal.build_relational_tables,
+            "assemble_relational_rows_vec": traversal.assemble_relational_rows,
+            "relational_filter_aggregate_vec": traversal.relational_filter_aggregate,
+        }
+
+    @contextmanager
+    def active(self):
+        def no_bulk_launch(device, name, *args, **kwargs):
+            raise AssertionError(f"bulk kernel {name} ran on the reference path")
+
+        with mock.patch.multiple(vectorized, **self.patches()), mock.patch.object(
+            GPUDevice, "launch_bulk", no_bulk_launch
+        ):
+            yield
+
+
+class _ReferenceKernelBackend:
+    """The G-TADOC backend whose engine runs only the per-thread reference kernels."""
+
+    def __init__(self, compressed) -> None:
+        self._kernels = _ReferenceKernels()
+        with self._kernels.active():
+            self._backend = open_backend("gtadoc", compressed)
+
+    def run(self, query: Query) -> RunOutcome:
+        with self._kernels.active():
+            return self._backend.run(query)
+
+
+@pytest.fixture(scope="module")
+def mode_backends(tiny_compressed):
+    """The G-TADOC backend as it runs ("vector") and on the reference kernels ("scalar")."""
+    return {
+        "scalar": _ReferenceKernelBackend(tiny_compressed),
+        "vector": open_backend("gtadoc", tiny_compressed),
+    }
+
+
+class TestKernelModeEquivalence:
+    """End to end, the bulk kernels the engine runs are bit-identical to
+    the per-thread reference kernels — same results AND the same
+    simulated kernel records — for every task, at two sequence lengths,
+    and under a file-subset filter.  ``tests/test_kernel_oracle.py``
+    checks the same pairs kernel by kernel; this class checks them as the
+    session and the plans compose them."""
+
+    @pytest.mark.parametrize("task", Task.all())
+    def test_vector_matches_scalar_bit_for_bit(self, mode_backends, tiny_compressed, task):
+        subset = tuple(tiny_compressed.file_names[:2])
+        queries = [
+            Query(task=task, sequence_length=length)
+            for length in MATRIX_SEQUENCE_LENGTHS
+        ] + [
+            Query(task=task, sequence_length=MATRIX_SEQUENCE_LENGTHS[0], files=subset),
+        ]
+        for query in queries:
+            scalar = mode_backends["scalar"].run(query)
+            vector = mode_backends["vector"].run(query)
+            assert scalar.result == vector.result, query.describe()
+            assert scalar.kernel_launches == vector.kernel_launches, query.describe()
+            assert scalar.ops == vector.ops, query.describe()
+            assert scalar.raw.init_record == vector.raw.init_record, query.describe()
+            assert scalar.raw.traversal_record == vector.raw.traversal_record, query.describe()
+
+    def test_traversal_overrides_agree_across_modes(self, mode_backends):
+        for strategy in (TraversalStrategy.TOP_DOWN, TraversalStrategy.BOTTOM_UP):
+            query = Query(task=Task.TERM_VECTOR, traversal=strategy)
+            scalar = mode_backends["scalar"].run(query)
+            vector = mode_backends["vector"].run(query)
+            assert scalar.result == vector.result
+            assert scalar.details["strategy"] == vector.details["strategy"]
+            assert scalar.kernel_launches == vector.kernel_launches
+            assert scalar.raw.traversal_record == vector.raw.traversal_record
 
 
 class TestFilteredQueriesDoMarginalWork:
