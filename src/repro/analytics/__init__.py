@@ -12,6 +12,10 @@ package defines
   the raw token streams.  They serve both as the ground truth for
   correctness tests and as the functional core of the
   "GPU-accelerated uncompressed analytics" comparator in section VI-E.
+
+G-TADOC's plans return :class:`~repro.analytics.encoded.EncodedResult`,
+the same results as word-id columns that are shaped on integers and
+decoded last.
 """
 
 from repro.analytics.base import (

@@ -37,7 +37,6 @@ __all__ = [
     "TaskResult",
     "SEQUENCE_LENGTH_DEFAULT",
     "normalize_result",
-    "copy_normalized",
     "results_equal",
 ]
 
@@ -134,26 +133,6 @@ def normalize_result(task: Task, result: Any) -> TaskResult:
             entries.sort(key=lambda entry: entry[0])
         return entries
     raise ValueError(f"unknown task: {task!r}")
-
-
-def copy_normalized(task: Task, result: Any) -> TaskResult:
-    """A fresh copy of an *already canonical* result.
-
-    Equivalent to :func:`normalize_result` when the input is known to be
-    in canonical shape already (e.g. an engine result that was
-    normalized at the engine boundary), but skips the per-entry
-    re-sorting — on large inverted indexes that re-sort dominates the
-    serving layer's result shaping.
-    """
-    if task in (Task.SORT, Task.RELATIONAL):
-        return list(result)
-    if task is Task.INVERTED_INDEX:
-        return {word: list(files) for word, files in result.items()}
-    if task is Task.RANKED_INVERTED_INDEX:
-        return {word: list(pairs) for word, pairs in result.items()}
-    if task is Task.TERM_VECTOR:
-        return {file_name: dict(counts) for file_name, counts in result.items()}
-    return dict(result)
 
 
 def results_equal(task: Task, left: Any, right: Any) -> bool:

@@ -1,11 +1,12 @@
-"""Shared result-derivation helpers.
+"""Result derivation for CPU TADOC: word-id tables to string results.
 
-Several engines (CPU TADOC, distributed TADOC, G-TADOC) produce the
-same intermediate shapes — corpus-wide word-id counts or per-file
-word-id counts — and then derive the task-specific results from them.
-These helpers centralise that derivation so every engine reports
-results in exactly the canonical shapes defined in
-:mod:`repro.analytics.base`.
+CPU TADOC (and, through its partition runs, the parallel and
+distributed baselines) produces corpus-wide or per-file word-id count
+tables, decodes them to strings and derives each task's canonical
+shape (see :mod:`repro.analytics.base`) from the decoded tables.
+G-TADOC does not use these helpers: its plans return id-space columns
+(:mod:`repro.analytics.encoded`) that are filtered, cut and ordered on
+integers and decoded only for the rows a query keeps.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "per_file_counts_to_term_vector",
     "per_file_counts_to_inverted_index",
     "per_file_counts_to_ranked_inverted_index",
-    "per_file_counts_to_word_count",
     "decode_sequence_counts",
 ]
 
@@ -53,14 +53,6 @@ def decode_per_file_counts(
 
 def word_count_to_sort(word_counts: Dict[str, int]) -> List[Tuple[str, int]]:
     return normalize_result(Task.SORT, word_counts)
-
-
-def per_file_counts_to_word_count(term_vector: Dict[str, Dict[str, int]]) -> Dict[str, int]:
-    totals: Dict[str, int] = {}
-    for counts in term_vector.values():
-        for word, count in counts.items():
-            totals[word] = totals.get(word, 0) + count
-    return totals
 
 
 def per_file_counts_to_term_vector(term_vector: Dict[str, Dict[str, int]]) -> Dict[str, Dict[str, int]]:
@@ -129,16 +121,7 @@ def decode_sequence_counts(
     length = len(next(iter(counts)))
     # One object-array gather decodes every gram at C speed — far
     # cheaper than a per-word ``decode`` call on large gram tables.
-    words = getattr(dictionary, "_decode_array", None)
-    if words is None or len(words) != dictionary.num_words:
-        words = np.asarray(
-            [dictionary.decode(word_id) for word_id in range(dictionary.num_words)],
-            dtype=object,
-        )
-        try:
-            dictionary._decode_array = words  # type: ignore[attr-defined]
-        except AttributeError:
-            pass
+    words = dictionary.decode_array
     ids = np.fromiter(
         chain.from_iterable(counts), dtype=np.int64, count=len(counts) * length
     )

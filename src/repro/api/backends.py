@@ -200,7 +200,7 @@ class GTadocBackend(_BackendBase):
             pool_bytes = run.memory_pool_bytes
         return self._outcome(
             query,
-            run.result,
+            run.output,
             RunPerf(initialization=init, traversal=traversal),
             raw=run,
             details={

@@ -18,9 +18,8 @@ import heapq
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
-import numpy as np
-
-from repro.analytics.base import Task, TaskResult, copy_normalized, normalize_result
+from repro.analytics.base import Task, TaskResult, normalize_result
+from repro.analytics.encoded import EncodedResult
 from repro.core.strategy import TraversalStrategy
 from repro.relational.spec import RelationalQuery
 
@@ -296,18 +295,9 @@ def _truncate_top_k(task: Task, result: TaskResult, top_k: int) -> TaskResult:
     if task is Task.SORT:
         return result[:top_k]
     # ``heapq.nsmallest`` with the same sort key returns exactly the
-    # first ``top_k`` entries of the full sort in O(n log k), which is
-    # far cheaper than sorting whole word/sequence tables per query.
+    # first ``top_k`` entries of the full sort in O(n log k).
     rank = lambda item: (-item[1], item[0])  # noqa: E731
     if task in (Task.WORD_COUNT, Task.SEQUENCE_COUNT):
-        if len(result) > 4096 and top_k * 8 < len(result):
-            # Large table, small cut: find the k-th largest count with a
-            # numpy partition and only rank the entries at or above it
-            # (a superset of the true top-k, ties included).
-            values = np.fromiter(result.values(), dtype=np.int64, count=len(result))
-            threshold = np.partition(values, len(values) - top_k)[len(values) - top_k]
-            candidates = [item for item in result.items() if item[1] >= threshold]
-            return dict(heapq.nsmallest(top_k, candidates, key=rank))
         return dict(heapq.nsmallest(top_k, result.items(), key=rank))
     if task is Task.RANKED_INVERTED_INDEX:
         return {word: pairs[:top_k] for word, pairs in result.items()}
@@ -321,21 +311,20 @@ def _truncate_top_k(task: Task, result: TaskResult, top_k: int) -> TaskResult:
     raise ValueError(f"unknown task: {task!r}")  # pragma: no cover - exhaustive over Task
 
 
-def shape_result(query: Query, result: TaskResult, *, normalized: bool = False) -> TaskResult:
-    """Apply the query's result-shaping knobs to a canonical result.
+def shape_result(query: Query, result: Union[EncodedResult, TaskResult]) -> TaskResult:
+    """Apply the query's terms filter and top-k, returning a canonical result.
 
-    Shaping is deterministic (results are normalized first), so two
+    G-TADOC hands in an id-space :class:`EncodedResult`: the filter, the
+    cut and the canonical order run on word ids and integer ranks, and
+    only the surviving rows are decoded.  Every other engine (and
+    G-TADOC's relational plan) hands in a string result, which is
+    normalized first.  Either way shaping is deterministic, so two
     backends given the same query produce equal shaped results whenever
-    their raw results agree.  Callers that hand in a result which is
-    *already* canonical (every engine normalizes at its boundary) may
-    pass ``normalized=True`` to replace the re-normalization with a
-    cheap copy.
+    their raw results agree.
     """
-    shaped = (
-        copy_normalized(query.task, result)
-        if normalized
-        else normalize_result(query.task, result)
-    )
+    if isinstance(result, EncodedResult):
+        return result.shape(query.terms, query.top_k)
+    shaped = normalize_result(query.task, result)
     if query.task is Task.RELATIONAL:
         # Relational shaping is spec-driven (order_by + top_k); a terms
         # filter is rejected at Query construction.

@@ -10,7 +10,9 @@ and only the serializer flattens everything into one numbering.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 __all__ = ["Dictionary"]
 
@@ -23,12 +25,21 @@ class Dictionary:
     appended after all words have been registered, which the
     :class:`~repro.compression.compressor.TadocCompressor` guarantees by
     encoding every document before allocating splitters.
+
+    Two read-only views serve id-space result shaping: :attr:`decode_array`
+    (word id -> word as a numpy object array, for one-gather decodes) and
+    :attr:`lexical_ranks` (word id -> the word's position in ``sorted()``
+    order, so ties can break on integers exactly as they would on the
+    strings).  Both are built on first use and dropped whenever a word or
+    the splitters are registered.
     """
 
     def __init__(self) -> None:
         self._word_to_id: Dict[str, int] = {}
         self._id_to_word: List[str] = []
         self._num_splitters = 0
+        self._decode_array: Optional[np.ndarray] = None
+        self._lexical_ranks: Optional[np.ndarray] = None
 
     # -- word encoding ---------------------------------------------------------
     def encode_word(self, word: str) -> int:
@@ -45,6 +56,7 @@ class Dictionary:
             word_id = len(self._id_to_word)
             self._word_to_id[word] = word_id
             self._id_to_word.append(word)
+            self._forget_views()
         return word_id
 
     def encode_tokens(self, tokens: Iterable[str]) -> List[int]:
@@ -69,6 +81,7 @@ class Dictionary:
         self._num_splitters = count
         for index in range(count):
             self._id_to_word.append(f"<spt{index}>")
+        self._forget_views()
         return list(range(start, start + count))
 
     def is_splitter(self, symbol_id: int) -> bool:
@@ -82,6 +95,32 @@ class Dictionary:
 
     def decode_tokens(self, symbol_ids: Sequence[int]) -> List[str]:
         return [self._id_to_word[symbol_id] for symbol_id in symbol_ids]
+
+    @property
+    def decode_array(self) -> np.ndarray:
+        """Word id -> word, as an object array (splitters excluded)."""
+        words = self._decode_array
+        if words is None:
+            words = np.empty(self.num_words, dtype=object)
+            words[:] = self._id_to_word[: self.num_words]
+            self._decode_array = words
+        return words
+
+    @property
+    def lexical_ranks(self) -> np.ndarray:
+        """Word id -> rank of the word in ``sorted()`` order (int64)."""
+        ranks = self._lexical_ranks
+        if ranks is None:
+            words = self._id_to_word
+            order = sorted(range(self.num_words), key=words.__getitem__)
+            ranks = np.empty(self.num_words, dtype=np.int64)
+            ranks[order] = np.arange(self.num_words, dtype=np.int64)
+            self._lexical_ranks = ranks
+        return ranks
+
+    def _forget_views(self) -> None:
+        self._decode_array = None
+        self._lexical_ranks = None
 
     # -- sizes --------------------------------------------------------------------
     @property

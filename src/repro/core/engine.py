@@ -35,10 +35,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.analytics.base import Task, TaskResult, normalize_result
+from repro.analytics.encoded import EncodedResult
 from repro.compression.compressor import CompressedCorpus
 from repro.core.layout import DeviceRuleLayout
 from repro.core.plans import (
     DEFAULT_PARAMS,
+    PlanResult,
     QueryParams,
     TaskPlan,
     fused_execution_strategies,
@@ -67,16 +69,35 @@ class GTadocRunResult:
     (cumulative pool usage lives on the batch result), and
     ``scheduler_summary`` is empty — the scheduler is shared session
     state, so its summary is reported once on the batch.
+
+    ``output`` is what the task's plan returned: for the six classic
+    tasks an id-space :class:`~repro.analytics.encoded.EncodedResult`,
+    which :func:`repro.api.shape_result` filters, cuts and orders before
+    decoding only the rows a query keeps; for relational queries the row
+    list.  ``result`` is the whole canonical result, decoded (or
+    canonicalized) on first access and cached.
     """
 
     task: Task
-    result: TaskResult
+    output: PlanResult
     strategy: TraversalStrategy
     strategy_decision: Optional[StrategyDecision]
     init_record: GpuRunRecord
     traversal_record: GpuRunRecord
     memory_pool_bytes: int
     scheduler_summary: Dict[str, float] = field(default_factory=dict)
+    _result: Optional[TaskResult] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def result(self) -> TaskResult:
+        """The whole canonical result (no query shape applied)."""
+        if self._result is None:
+            output = self.output
+            if isinstance(output, EncodedResult):
+                self._result = output.decode()
+            else:
+                self._result = normalize_result(self.task, output)
+        return self._result
 
     @property
     def total_kernel_launches(self) -> int:
@@ -195,7 +216,7 @@ class GTadoc:
         # so the fresh session inherits a current-epoch layout.
         self._session.sync_with_corpus()
         session = self._session.fresh()
-        task, result, strategy, decision, marginal = self._execute_task(
+        task, output, strategy, decision, marginal = self._execute_task(
             session, task, traversal, params
         )
         init_record, shared_record = session.drain_new_records()
@@ -204,7 +225,7 @@ class GTadoc:
         traversal_record.merge(marginal)
         return GTadocRunResult(
             task=task,
-            result=result,
+            output=output,
             strategy=strategy,
             strategy_decision=decision,
             init_record=init_record,
@@ -252,12 +273,12 @@ class GTadoc:
             session.sync_with_corpus()
             for requested in task_list:
                 pool_before = session.memory_pool_bytes
-                task, result, strategy, decision, marginal = self._execute_task(
+                task, output, strategy, decision, marginal = self._execute_task(
                     session, requested, traversal, params
                 )
                 results[task] = GTadocRunResult(
                     task=task,
-                    result=result,
+                    output=output,
                     strategy=strategy,
                     strategy_decision=decision,
                     init_record=GpuRunRecord(),
@@ -331,12 +352,12 @@ class GTadoc:
             fused = GpuRunRecord()
             device = GPUDevice(record=fused)
             pool_before = session.memory_pool_bytes
-            raw_results = run_fused_program(session, device, strategies, params)
+            outputs = run_fused_program(session, device, strategies, params)
             results: Dict[Task, GTadocRunResult] = {}
             for position, task in enumerate(task_list):
                 results[task] = GTadocRunResult(
                     task=task,
-                    result=normalize_result(task, raw_results[task]),
+                    output=outputs[task],
                     strategy=executed[task],
                     strategy_decision=decisions[task],
                     init_record=GpuRunRecord(),
@@ -384,7 +405,7 @@ class GTadoc:
         task: Union[Task, str],
         traversal: Optional[TraversalStrategy],
         params: QueryParams = DEFAULT_PARAMS,
-    ) -> Tuple[Task, TaskResult, TraversalStrategy, Optional[StrategyDecision], GpuRunRecord]:
+    ) -> Tuple[Task, PlanResult, TraversalStrategy, Optional[StrategyDecision], GpuRunRecord]:
         """Ensure required state on ``session``, then run the marginal program."""
         if isinstance(task, str):
             task = Task.from_name(task)
@@ -412,5 +433,5 @@ class GTadoc:
 
         marginal = GpuRunRecord()
         device = GPUDevice(record=marginal)
-        raw = plan.traverse(session, device, strategy, params)
-        return task, normalize_result(task, raw), strategy, decision, marginal
+        output = plan.traverse(session, device, strategy, params)
+        return task, output, strategy, decision, marginal

@@ -23,23 +23,22 @@ The engine ensures the required state on the session (charging its
 construction once per session), then runs the plan's traversal on a
 per-task device/record.  Adding a new analytics task means registering a
 plan here — no engine changes.
+
+The six classic tasks return id-space results
+(:class:`~repro.analytics.encoded.EncodedResult`): the integer columns
+the bulk kernels produce, which the query's shape cuts and orders before
+anything is decoded.  Relational plans return their row list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.analytics.base import Task, TaskResult
-from repro.analytics.derive import (
-    decode_per_file_counts,
-    decode_sequence_counts,
-    decode_word_counts,
-    per_file_counts_to_inverted_index,
-    per_file_counts_to_ranked_inverted_index,
-    per_file_counts_to_term_vector,
-    word_count_to_sort,
-)
+from repro.analytics.encoded import EncodedResult
 from repro.core.session import (
     BOTTOMUP_BOUNDS,
     FILE_WEIGHTS,
@@ -107,8 +106,11 @@ class QueryParams:
 #: The "plain query" every seed entry point implicitly used.
 DEFAULT_PARAMS = QueryParams()
 
+#: What a plan returns: id-space columns, or a relational row list.
+PlanResult = Union[EncodedResult, TaskResult]
+
 RequiresFn = Callable[[TraversalStrategy, GTadocConfig, QueryParams], Tuple[StateKey, ...]]
-TraverseFn = Callable[[DeviceSession, GPUDevice, TraversalStrategy, QueryParams], TaskResult]
+TraverseFn = Callable[[DeviceSession, GPUDevice, TraversalStrategy, QueryParams], PlanResult]
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ class TaskPlan:
     task: Task
     #: Session state the traversal consumes under a given strategy/config/query.
     requires: RequiresFn
-    #: Marginal traversal program: session state in, raw task result out.
+    #: Marginal traversal program: session state in, plan result out.
     traverse: TraverseFn
     #: Strategy this task always uses, overriding selector and caller
     #: (sequence count has its own head/tail pipeline).
@@ -139,8 +141,8 @@ class TaskPlan:
 
 def _corpus_counts(
     session: DeviceSession, device: GPUDevice, strategy: TraversalStrategy
-) -> Dict[int, int]:
-    """Corpus-wide word-id counts under ``strategy``."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Corpus-wide ``(word ids, counts)`` under ``strategy``."""
     if strategy is TraversalStrategy.TOP_DOWN:
         return vectorized.topdown_word_count_reduce(
             session.layout, session.scheduler, device, session.state(RULE_WEIGHTS)
@@ -155,8 +157,8 @@ def _per_file_counts(
     device: GPUDevice,
     strategy: TraversalStrategy,
     params: QueryParams,
-) -> List[Dict[int, int]]:
-    """Per-file word-id counts, restricted to the query's file subset if it has one."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-file ``(file indices, word ids, counts)``, restricted to the query's subset if any."""
     if strategy is TraversalStrategy.TOP_DOWN:
         return vectorized.topdown_per_file_counts_vec(
             session.layout, session.scheduler, device, session.state(FILE_WEIGHTS), params.file_indices
@@ -166,14 +168,34 @@ def _per_file_counts(
     )
 
 
-def _decode_file_subset(
-    session: DeviceSession, per_file: List[Dict[int, int]], params: QueryParams
-) -> Dict[str, Dict[str, int]]:
-    """Decode per-file counts, keeping only the query's file subset."""
-    indices = list(params.file_indices)
-    names = [session.compressed.file_names[index] for index in indices]
-    return decode_per_file_counts(
-        [per_file[index] for index in indices], names, session.compressed.dictionary
+def _sum_over_files(
+    per_file: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Corpus ``(word ids, counts)`` from per-file rows, in first-seen row order."""
+    _files, words, counts = per_file
+    uniq, first, inverse = np.unique(words, return_index=True, return_inverse=True)
+    sums = np.bincount(inverse, weights=counts, minlength=len(uniq)).astype(np.int64)
+    order = np.argsort(first, kind="stable")
+    return uniq[order], sums[order]
+
+
+def _encoded(
+    session: DeviceSession,
+    task: Task,
+    columns: Tuple[np.ndarray, ...],
+    params: QueryParams = DEFAULT_PARAMS,
+) -> EncodedResult:
+    """Wrap kernel columns (``(words, counts)`` or ``(files, words, counts)``) as ``task``'s result."""
+    compressed = session.compressed
+    *files, words, counts = columns
+    return EncodedResult(
+        task=task,
+        dictionary=compressed.dictionary,
+        file_names=compressed.file_names,
+        words=words,
+        counts=counts,
+        files=files[0] if files else None,
+        answered=params.file_indices,
     )
 
 
@@ -200,19 +222,12 @@ def _make_corpus_traverse(task: Task) -> TraverseFn:
         device: GPUDevice,
         strategy: TraversalStrategy,
         params: QueryParams = DEFAULT_PARAMS,
-    ) -> TaskResult:
+    ) -> EncodedResult:
         if params.filtered:
-            per_file = _per_file_counts(session, device, strategy, params)
-            counts: Dict[int, int] = {}
-            for file_index in params.file_indices:
-                for word_id, count in per_file[file_index].items():
-                    counts[word_id] = counts.get(word_id, 0) + count
+            counts = _sum_over_files(_per_file_counts(session, device, strategy, params))
         else:
             counts = _corpus_counts(session, device, strategy)
-        word_counts = decode_word_counts(counts, session.compressed.dictionary)
-        if task is Task.SORT:
-            return word_count_to_sort(word_counts)
-        return word_counts
+        return _encoded(session, task, counts)
 
     return traverse
 
@@ -235,19 +250,8 @@ def _make_file_traverse(task: Task) -> TraverseFn:
         device: GPUDevice,
         strategy: TraversalStrategy,
         params: QueryParams = DEFAULT_PARAMS,
-    ) -> TaskResult:
-        per_file = _per_file_counts(session, device, strategy, params)
-        if params.filtered:
-            term_vector = _decode_file_subset(session, per_file, params)
-        else:
-            term_vector = decode_per_file_counts(
-                per_file, session.compressed.file_names, session.compressed.dictionary
-            )
-        if task is Task.TERM_VECTOR:
-            return per_file_counts_to_term_vector(term_vector)
-        if task is Task.INVERTED_INDEX:
-            return per_file_counts_to_inverted_index(term_vector)
-        return per_file_counts_to_ranked_inverted_index(term_vector)
+    ) -> EncodedResult:
+        return _encoded(session, task, _per_file_counts(session, device, strategy, params), params)
 
     return traverse
 
@@ -272,7 +276,7 @@ def _sequence_traverse(
     device: GPUDevice,
     strategy: TraversalStrategy,
     params: QueryParams = DEFAULT_PARAMS,
-) -> TaskResult:
+) -> EncodedResult:
     length = params.effective_sequence_length(session.config)
     buffers = session.state(sequence_buffers_key(length))
     if params.filtered:
@@ -294,7 +298,7 @@ def _sequence_traverse(
     counts = vectorized.sequence_counts_vec(
         session.layout, session.scheduler, device, buffers, weights, length, params.file_indices
     )
-    return decode_sequence_counts(counts, session.compressed.dictionary)
+    return _encoded(session, Task.SEQUENCE_COUNT, counts)
 
 
 # ----------------------------------------------------------------------------------------
@@ -412,7 +416,7 @@ def run_fused_program(
     device: GPUDevice,
     strategies: Dict[Task, TraversalStrategy],
     params: QueryParams = DEFAULT_PARAMS,
-) -> Dict[Task, TaskResult]:
+) -> Dict[Task, PlanResult]:
     """Serve every task in ``strategies`` from one shared traversal pass.
 
     Each result family's primitive runs exactly once on ``device``: the
@@ -426,46 +430,30 @@ def run_fused_program(
     corpus_tasks, file_tasks, sequence_tasks, relational_tasks = _fused_families(
         list(strategies)
     )
-    results: Dict[Task, TaskResult] = {}
+    results: Dict[Task, PlanResult] = {}
 
-    per_file: Optional[List[Dict[int, int]]] = None
+    per_file: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     if file_tasks or (corpus_tasks and params.filtered):
         lead = file_tasks[0] if file_tasks else corpus_tasks[0]
         per_file = _per_file_counts(session, device, executed[lead], params)
 
     if corpus_tasks:
         if per_file is not None:
-            indices = params.file_indices if params.filtered else range(len(per_file))
-            counts: Dict[int, int] = {}
-            for file_index in indices:
-                for word_id, count in per_file[file_index].items():
-                    counts[word_id] = counts.get(word_id, 0) + count
+            counts = _sum_over_files(per_file)
             if not params.filtered:
-                # Host-side aggregation standing in for the corpus reduce kernel.
+                # Host-side aggregation standing in for the corpus reduce
+                # kernel: one op per per-file entry, 8 bytes per file.
                 device.record.host_counter.charge(
-                    compute_ops=float(sum(len(file_counts) for file_counts in per_file)),
-                    memory_bytes=8.0 * len(per_file),
+                    compute_ops=float(len(per_file[0])),
+                    memory_bytes=8.0 * session.layout.num_files,
                 )
         else:
             counts = _corpus_counts(session, device, executed[corpus_tasks[0]])
-        word_counts = decode_word_counts(counts, session.compressed.dictionary)
         for task in corpus_tasks:
-            results[task] = word_count_to_sort(word_counts) if task is Task.SORT else word_counts
+            results[task] = _encoded(session, task, counts)
 
-    if file_tasks:
-        if params.filtered:
-            term_vector = _decode_file_subset(session, per_file, params)
-        else:
-            term_vector = decode_per_file_counts(
-                per_file, session.compressed.file_names, session.compressed.dictionary
-            )
-        for task in file_tasks:
-            if task is Task.TERM_VECTOR:
-                results[task] = per_file_counts_to_term_vector(term_vector)
-            elif task is Task.INVERTED_INDEX:
-                results[task] = per_file_counts_to_inverted_index(term_vector)
-            else:
-                results[task] = per_file_counts_to_ranked_inverted_index(term_vector)
+    for task in file_tasks:
+        results[task] = _encoded(session, task, per_file, params)
 
     if sequence_tasks:
         results[Task.SEQUENCE_COUNT] = _sequence_traverse(

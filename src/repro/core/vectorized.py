@@ -27,6 +27,21 @@ For every ported kernel the bulk port produces
 against the references, and fails if a kernel launched here has no
 comparison.
 
+Result format
+-------------
+The count kernels return integer columns, not dicts, so the plans can
+shape results in id space and decode last
+(:class:`~repro.analytics.encoded.EncodedResult`):
+
+* corpus counts: ``(word ids, counts)`` in hash-table insertion order;
+* per-file counts: ``(file indices, word ids, counts)`` sorted by
+  ``(file, word id)``, with rows only for the requested files;
+* sequence counts: ``(gram rows, counts)``, an ``(n, l)`` array of word
+  ids in first-occurrence order.
+
+Their references return the same content as dicts (a list of per-file
+dicts for per-file counts); the oracle converts between the two.
+
 The hash-table cost model in :func:`_hash_program` mirrors
 :meth:`repro.gpusim.hashtable.DeviceHashTable.insert_add` exactly:
 an *update* of the key at 0-based chain position ``p`` costs
@@ -497,8 +512,8 @@ def topdown_word_count_reduce(
     scheduler: FineGrainedScheduler,
     device: GPUDevice,
     weights: Sequence[int],
-) -> Dict[int, int]:
-    """Bulk port of the top-down ``reduceResultKernel``."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bulk port of the top-down ``reduceResultKernel``: ``(word ids, counts)``."""
     flat = flattened(layout)
     assignments = flat.assignments(scheduler, "corpus")
     num_threads = max(1, len(assignments))
@@ -536,13 +551,13 @@ def topdown_word_count_reduce(
         thread_atomic_ops=atomics,
         atomic_conflicts=conflicts,
     )
-    return dict(zip(out_keys.tolist(), out_vals.tolist()))
+    return out_keys, out_vals
 
 
 def _file_column_counts(
     flat: FlattenedLayout, matrix: np.ndarray, file_index: int
-) -> Dict[int, int]:
-    """One file's word counts: scaled rule tables + the root's own words."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One file's ``(word ids, counts)``: scaled rule tables + the root's own words."""
     col = matrix[:, file_index]
     rules = np.flatnonzero(col).astype(_I64)
     owner, keys, vals = flat.gather_local_words(
@@ -553,12 +568,26 @@ def _file_column_counts(
     if hi > lo:
         keys = np.concatenate([keys, flat.rw_keys[lo:hi]])
         vals = np.concatenate([vals, flat.rw_vals[lo:hi]])
-    if not len(keys):
-        return {}
     uniq, inv = np.unique(keys, return_inverse=True)
     sums = np.zeros(len(uniq), dtype=_I64)
     np.add.at(sums, inv, vals)
-    return dict(zip(uniq.tolist(), sums.tolist()))
+    return uniq, sums
+
+
+def _stack_file_columns(
+    flat: FlattenedLayout, matrix: np.ndarray, file_indices: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(file indices, word ids, counts)`` of ``file_indices``, in that order."""
+    columns = [_file_column_counts(flat, matrix, file_index) for file_index in file_indices]
+    sizes = [len(words) for words, _counts in columns]
+    files = np.repeat(np.asarray(file_indices, dtype=_I64), sizes)
+    if not columns:
+        return files, np.zeros(0, dtype=_I64), np.zeros(0, dtype=_I64)
+    return (
+        files,
+        np.concatenate([words for words, _counts in columns]),
+        np.concatenate([counts for _words, counts in columns]),
+    )
 
 
 def topdown_per_file_counts_vec(
@@ -567,17 +596,17 @@ def topdown_per_file_counts_vec(
     device: GPUDevice,
     file_weights: Sequence[Dict[int, int]],
     file_indices: Optional[Sequence[int]] = None,
-) -> List[Dict[int, int]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bulk port of the top-down per-file reduce kernels.
 
     Covers both the unfiltered pair (``reduceFileResultKernel`` +
     ``rootWordsKernel``) and the restricted single-launch
-    ``reduceFileSubsetKernel``.
+    ``reduceFileSubsetKernel``.  Returns ``(file indices, word ids,
+    counts)`` sorted by ``(file, word id)``.
     """
     flat = flattened(layout)
     n = flat.num_rules
     matrix = _dense_file_weights(flat, file_weights)
-    per_file_counts: List[Dict[int, int]] = [dict() for _ in range(flat.num_files)]
 
     if file_indices is not None:
         allowed_order = sorted(frozenset(file_indices))
@@ -613,9 +642,7 @@ def topdown_per_file_counts_vec(
             thread_memory_bytes=mem,
             thread_atomic_ops=atomics,
         )
-        for file_index in allowed_order:
-            per_file_counts[file_index] = _file_column_counts(flat, matrix, file_index)
-        return per_file_counts
+        return _stack_file_columns(flat, matrix, allowed_order)
 
     rule_ids = list(range(1, n)) if n > 1 else []
     assignments = flat.assignments(scheduler, "file") if rule_ids else []
@@ -642,9 +669,7 @@ def topdown_per_file_counts_vec(
     device.launch_bulk(
         "rootWordsKernel", num_threads, thread_ops=ops, thread_memory_bytes=mem
     )
-    for file_index in range(flat.num_files):
-        per_file_counts[file_index] = _file_column_counts(flat, matrix, file_index)
-    return per_file_counts
+    return _stack_file_columns(flat, matrix, range(flat.num_files))
 
 
 # ----------------------------------------------------------------------------------------
@@ -862,8 +887,8 @@ def bottomup_word_count_reduce(
     layout: DeviceRuleLayout,
     device: GPUDevice,
     local_tables: Sequence[Dict[int, int]],
-) -> Dict[int, int]:
-    """Bulk port of the bottom-up ``reduceResultKernel``."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bulk port of the bottom-up ``reduceResultKernel``: ``(word ids, counts)``."""
     flat = flattened(layout)
     key_arrays, val_arrays = _table_arrays(local_tables)
     num_threads = 1 + len(flat.level2_child)
@@ -905,7 +930,7 @@ def bottomup_word_count_reduce(
         thread_atomic_ops=atomics,
         atomic_conflicts=conflicts,
     )
-    return dict(zip(out_keys.tolist(), out_vals.tolist()))
+    return out_keys, out_vals
 
 
 def bottomup_per_file_counts_reduce(
@@ -913,50 +938,34 @@ def bottomup_per_file_counts_reduce(
     device: GPUDevice,
     local_tables: Sequence[Dict[int, int]],
     file_indices: Optional[Sequence[int]] = None,
-) -> List[Dict[int, int]]:
-    """Bulk port of the bottom-up ``reduceFileResultKernel``."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bulk port of the bottom-up ``reduceFileResultKernel``.
+
+    Returns ``(file indices, word ids, counts)`` sorted by ``(file, word id)``.
+    """
     flat = flattened(layout)
     targets = sorted(set(file_indices)) if file_indices is not None else None
 
     # The unfiltered contribution stream (which child table feeds which
     # file, scaled by which frequency) is a pure function of the layout
     # and the session's cached local tables, so assemble it once per
-    # local-tables build; only the merged sums and the per-file result
-    # dicts are recomputed per query.
+    # local-tables build; only the merged sums are recomputed per query.
     if targets is None:
         cached = getattr(flat, "file_reduce_geom", None)
         if cached is not None and cached[0] is local_tables:
-            (
-                num_threads,
-                ops,
-                mem,
-                inv,
-                vals,
-                num_unique,
-                words_list,
-                group_slices,
-            ) = cached[1]
-            per_file_counts = [dict() for _ in range(flat.num_files)]
-            sums_list = (
-                np.bincount(inv, weights=vals, minlength=num_unique)
-                .astype(_I64)
-                .tolist()
-            )
-            for file_index, start, end in group_slices:
-                per_file_counts[file_index] = dict(
-                    zip(words_list[start:end], sums_list[start:end])
-                )
+            num_threads, ops, mem, inv, vals, uniq_files, uniq_words = cached[1]
+            sums = np.bincount(inv, weights=vals, minlength=len(uniq_words)).astype(_I64)
             device.launch_bulk(
                 "reduceFileResultKernel",
                 num_threads,
                 thread_ops=ops,
                 thread_memory_bytes=mem,
             )
-            return per_file_counts
+            return uniq_files, uniq_words, sums
 
     key_arrays, val_arrays = _table_arrays(local_tables)
     table_sizes = np.asarray([len(k) for k in key_arrays], dtype=_I64)
-    per_file_counts: List[Dict[int, int]] = [dict() for _ in range(flat.num_files)]
+    uniq_files = uniq_words = sums = np.zeros(0, dtype=_I64)
 
     files = targets if targets is not None else list(range(flat.num_files))
     num_threads = max(1, len(files))
@@ -995,50 +1004,25 @@ def bottomup_per_file_counts_reduce(
     if key_parts:
         # One global merge instead of one per file: word ids are always
         # < vocabulary_size, so (file, word) packs into a single int64
-        # and the sorted unique keys fall into contiguous file groups.
+        # and the sorted unique keys are the (file, word id) row order.
         keys = np.concatenate(key_parts)
         vals = np.concatenate(val_parts)
         owners = np.concatenate(owner_parts)
         combined = owners * vocab + keys
         uniq, inv = np.unique(combined, return_inverse=True)
-        sums = np.bincount(
-            inv.reshape(-1), weights=vals, minlength=len(uniq)
-        ).astype(_I64)
+        inv = inv.reshape(-1)
+        sums = np.bincount(inv, weights=vals, minlength=len(uniq)).astype(_I64)
         uniq_files = uniq // vocab
         uniq_words = uniq - uniq_files * vocab
-        boundaries = np.flatnonzero(np.diff(uniq_files)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [len(uniq)]))
-        words_list = uniq_words.tolist()
-        sums_list = sums.tolist()
-        group_slices = [
-            (int(file_index), start, end)
-            for start, end, file_index in zip(
-                starts.tolist(), ends.tolist(), uniq_files[starts].tolist()
-            )
-        ]
-        for file_index, start, end in group_slices:
-            per_file_counts[file_index] = dict(
-                zip(words_list[start:end], sums_list[start:end])
-            )
         if targets is None:
             flat.file_reduce_geom = (
                 local_tables,
-                (
-                    num_threads,
-                    ops,
-                    mem,
-                    inv.reshape(-1),
-                    vals,
-                    len(uniq),
-                    words_list,
-                    group_slices,
-                ),
+                (num_threads, ops, mem, inv, vals, uniq_files, uniq_words),
             )
     device.launch_bulk(
         "reduceFileResultKernel", num_threads, thread_ops=ops, thread_memory_bytes=mem
     )
-    return per_file_counts
+    return uniq_files, uniq_words, sums
 
 
 # ----------------------------------------------------------------------------------------
@@ -1181,8 +1165,12 @@ def sequence_counts_vec(
     weights: Sequence[int],
     sequence_length: int,
     file_indices: Optional[Sequence[int]] = None,
-) -> Dict[Tuple[int, ...], int]:
-    """Bulk port of the Figure-8 sequence kernels (rule + root + merge)."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bulk port of the Figure-8 sequence kernels (rule + root + merge).
+
+    Returns ``(gram rows, counts)``: an ``(n, sequence_length)`` array of
+    word ids in first-occurrence order and the matching counts.
+    """
     flat = flattened(layout)
     allowed = frozenset(file_indices) if file_indices is not None else None
     overlap = sequence_length - 1
@@ -1326,7 +1314,7 @@ def _sequence_merge(
     values: np.ndarray,
     sequence_length: int,
     stream: Optional[Dict] = None,
-) -> Dict[Tuple[int, ...], int]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Fold the window stream into interned (first-occurrence ordered)
     keys, then replay the global-table merge kernel.
 
@@ -1338,8 +1326,8 @@ def _sequence_merge(
     """
     geom = stream.get("merge_geom") if stream is not None else None
     if geom is not None:
-        inv, order, num_unique, row_tuples = geom
-        num_entries = len(row_tuples)
+        inv, order, num_unique, rows = geom
+        num_entries = len(rows)
         if num_entries:
             sums = np.bincount(inv, weights=values, minlength=num_unique).astype(_I64)
             ordered_sums = sums[order]
@@ -1370,21 +1358,16 @@ def _sequence_merge(
         order = np.argsort(first_idx, kind="stable")
         sums = np.bincount(inv, weights=values, minlength=len(first_idx)).astype(_I64)
         ordered_sums = sums[order]
-        row_tuples = list(map(tuple, unique_rows[order].tolist()))
-        num_entries = len(row_tuples)
+        rows = unique_rows[order]
+        num_entries = len(rows)
         if stream is not None:
-            stream["merge_geom"] = (inv, order, len(first_idx), row_tuples)
+            stream["merge_geom"] = (inv, order, len(first_idx), rows)
     else:
-        row_tuples = []
+        rows = np.zeros((0, sequence_length), dtype=_I64)
         ordered_sums = np.zeros(0, dtype=_I64)
         num_entries = 0
         if stream is not None:
-            stream["merge_geom"] = (
-                np.zeros(0, dtype=_I64),
-                np.zeros(0, dtype=_I64),
-                0,
-                row_tuples,
-            )
+            stream["merge_geom"] = (np.zeros(0, dtype=_I64), np.zeros(0, dtype=_I64), 0, rows)
 
     num_threads = max(1, num_entries)
     num_buckets, capacity = _table_geometry(max(1, num_entries))
@@ -1406,7 +1389,7 @@ def _sequence_merge(
         thread_atomic_ops=atomics,
         atomic_conflicts=conflicts,
     )
-    return dict(zip(row_tuples, out_vals.tolist()))
+    return rows, out_vals
 
 
 # ----------------------------------------------------------------------------------------

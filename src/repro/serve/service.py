@@ -563,7 +563,7 @@ class ServingCore:
                 query=slot.query,
                 backend=self.name,
                 task=slot.query.task,
-                result=shape_result(slot.query, run.result, normalized=True),
+                result=shape_result(slot.query, run.output),
                 perf=RunPerf(
                     initialization=initialization,
                     traversal=perf_from_records(run.traversal_record),

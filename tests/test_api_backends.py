@@ -11,7 +11,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analytics.base import Task, results_equal
 from repro.api import (
@@ -28,9 +30,10 @@ from repro.api import (
 from repro.api.registry import _REGISTRY
 from repro.cluster.simulator import ClusterSpec
 from repro.core import sequence, traversal, vectorized
-from repro.core.engine import GTadocRunResult
+from repro.core.engine import GTadoc, GTadocRunResult
 from repro.core.strategy import TraversalStrategy
 from repro.gpusim.device import GPUDevice
+from tests.test_serve import _assert_type_exact
 
 ALL_BACKENDS = ("gtadoc", "cpu", "parallel", "distributed", "gpu_uncompressed", "reference")
 #: All three serving front ends join the engines in the equivalence matrix.
@@ -361,6 +364,106 @@ def test_backend_matrix_covers_relational(backends, tiny_compressed, name):
         assert outcome.result == expected.result, query.describe()
 
 
+def _assert_same_shape(actual, expected, path: str) -> None:
+    """Equal, with the same container type at every level and lists in order.
+
+    Dict key order is not compared: backends build their dicts in
+    different orders.
+    """
+    assert type(actual) is type(expected), f"{path}: {type(actual).__name__}"
+    if isinstance(expected, dict):
+        assert actual.keys() == expected.keys(), path
+        for key, want in expected.items():
+            _assert_same_shape(actual[key], want, f"{path}[{key!r}]")
+    elif isinstance(expected, (list, tuple)):
+        assert len(actual) == len(expected), path
+        for index, (item, want) in enumerate(zip(actual, expected)):
+            _assert_same_shape(item, want, f"{path}[{index}]")
+    else:
+        assert actual == expected, path
+
+
+def _ranked_count_lists(task, result):
+    """Each list of counts a ``top_k`` cuts, in the order the cut sees them."""
+    if task is Task.SORT:
+        return [[count for _word, count in result]]
+    if task in (Task.WORD_COUNT, Task.SEQUENCE_COUNT):
+        return [sorted(result.values(), reverse=True)]
+    if task is Task.TERM_VECTOR:
+        return [sorted(counts.values(), reverse=True) for counts in result.values()]
+    if task is Task.RANKED_INVERTED_INDEX:
+        return [[count for _file, count in pairs] for pairs in result.values()]
+    # Postings carry no counts: every file of a posting list ties.
+    return [[0] * len(files) for files in result.values()]
+
+
+def _tie_cutting_top_k(task, result) -> int:
+    """The smallest ``top_k`` whose cut splits a group of tied counts."""
+    cuts = {
+        k
+        for counts in _ranked_count_lists(task, result)
+        for k in range(1, len(counts))
+        if counts[k - 1] == counts[k]
+    }
+    assert cuts, f"no tie to cut in {task.value}"
+    return min(cuts)
+
+
+def _shaping_queries(task, reference, compressed):
+    """The five query kinds whose shaping every backend must match."""
+    full = reference.run(Query(task=task)).result
+    return [
+        Query(task=task, top_k=1),
+        Query(task=task, top_k=_tie_cutting_top_k(task, full)),
+        Query(task=task, top_k=10_000),
+        # Length 2, so some grams are made of the two terms alone.
+        Query(task=task, terms=("the", "quick", "absent-term"), sequence_length=2),
+        Query(task=task, files=tuple(compressed.file_names[:2]), top_k=2),
+    ]
+
+
+@pytest.mark.parametrize("name", MATRIX_BACKENDS)
+@pytest.mark.parametrize("task", Task.all())
+def test_backend_matrix_shapes_like_reference(backends, tiny_compressed, name, task):
+    """Top-k cuts (one entry, inside a tie, beyond the result), a terms
+    filter with an absent word and a file subset with a cut shape every
+    backend's answer exactly as the reference's."""
+    reference = backends["reference"]
+    for query in _shaping_queries(task, reference, tiny_compressed):
+        expected = reference.run(query).result
+        _assert_same_shape(backends[name].run(query).result, expected, query.describe())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_id_space_shaping_equals_string_shaping(few_files_compressed, data):
+    """Shaping G-TADOC's id-space output equals shaping its decoded result,
+    key order included, and the shaped answer equals the reference's."""
+    compressed = few_files_compressed
+    vocabulary = compressed.dictionary.decode_array.tolist()
+    task = data.draw(st.sampled_from(Task.all()))
+    top_k = data.draw(st.none() | st.integers(1, 40))
+    terms = data.draw(
+        st.none()
+        | st.lists(st.sampled_from(vocabulary), min_size=1, max_size=6).map(
+            lambda words: tuple(words) + ("absent-term",)
+        )
+    )
+    files = data.draw(
+        st.none()
+        | st.lists(st.sampled_from(compressed.file_names), min_size=1, unique=True).map(tuple)
+    )
+    length = data.draw(st.integers(2, 4))
+    query = Query(task=task, top_k=top_k, terms=terms, files=files, sequence_length=length)
+
+    indices = None if files is None else [compressed.file_names.index(name) for name in files]
+    run = GTadoc(compressed).run_batch([task], sequence_length=length, file_indices=indices)[task]
+    from_ids = shape_result(query, run.output)
+    _assert_type_exact(from_ids, shape_result(query, run.result), query.describe())
+    expected = open_backend("reference", compressed).run(query).result
+    _assert_same_shape(open_backend("gtadoc", compressed).run(query).result, expected, query.describe())
+
+
 def test_run_batch_matches_individual_runs(backends):
     queries = [Query(task=Task.WORD_COUNT), Query(task=Task.SORT, top_k=4)]
     for name, backend in backends.items():
@@ -457,6 +560,27 @@ class TestGTadocServingPath:
             assert results_equal(Task.SEQUENCE_COUNT, outcome.result, expected)
 
 
+def _as_columns(counts, sequence_length=None):
+    """A reference kernel's dict output in the bulk kernels' column format.
+
+    Word counts ``{word id: count}`` become ``(word ids, counts)``, gram
+    counts ``{gram: count}`` become ``(gram rows, counts)`` (both in dict
+    order), and per-file counts ``[{word id: count}, ...]`` become
+    ``(file indices, word ids, counts)`` sorted by ``(file, word id)``.
+    """
+    if isinstance(counts, list):
+        rows = sorted(
+            (file_index, word, count)
+            for file_index, table in enumerate(counts)
+            for word, count in table.items()
+        )
+        return tuple(np.asarray([row[i] for row in rows], dtype=np.int64) for i in range(3))
+    keys = np.asarray(list(counts), dtype=np.int64)
+    if sequence_length is not None:
+        keys = keys.reshape(len(counts), sequence_length)
+    return keys, np.asarray(list(counts.values()), dtype=np.int64)
+
+
 class _ReferenceKernels:
     """The engine's bulk kernels swapped for their per-thread references.
 
@@ -464,7 +588,8 @@ class _ReferenceKernels:
     plans call runs its reference from ``traversal.py`` or
     ``sequence.py`` instead, and ``GPUDevice.launch_bulk`` raises, so a
     bulk call site this table misses fails loudly rather than running
-    the bulk path on both sides of a comparison.
+    the bulk path on both sides of a comparison.  The references' dict
+    outputs reach the plans in column format (:func:`_as_columns`).
     """
 
     def __init__(self) -> None:
@@ -481,19 +606,31 @@ class _ReferenceKernels:
         return traversal.build_local_tables_bottomup(layout, device, bounds=bounds)[0]
 
     def topdown_word_count_reduce(self, layout, scheduler, device, weights):
-        return traversal.topdown_word_count(layout, scheduler, device, weights=weights)
+        return _as_columns(traversal.topdown_word_count(layout, scheduler, device, weights=weights))
 
     def bottomup_word_count_reduce(self, layout, device, local_tables):
-        return traversal.bottomup_word_count(layout, device, local_tables=local_tables)
+        return _as_columns(traversal.bottomup_word_count(layout, device, local_tables=local_tables))
 
     def topdown_per_file_counts_vec(self, layout, scheduler, device, file_weights, file_indices):
-        return traversal.topdown_per_file_counts(
-            layout, scheduler, device, file_weights=file_weights, file_indices=file_indices
+        return _as_columns(
+            traversal.topdown_per_file_counts(
+                layout, scheduler, device, file_weights=file_weights, file_indices=file_indices
+            )
         )
 
     def bottomup_per_file_counts_reduce(self, layout, device, local_tables, file_indices):
-        return traversal.bottomup_per_file_counts(
-            layout, device, local_tables=local_tables, file_indices=file_indices
+        return _as_columns(
+            traversal.bottomup_per_file_counts(
+                layout, device, local_tables=local_tables, file_indices=file_indices
+            )
+        )
+
+    def sequence_counts_vec(self, layout, scheduler, device, buffers, weights, length, file_indices):
+        return _as_columns(
+            sequence.sequence_counts(
+                layout, scheduler, device, buffers, weights, length, file_indices
+            ),
+            length,
         )
 
     def patches(self):
@@ -507,7 +644,7 @@ class _ReferenceKernels:
             "bottomup_word_count_reduce": self.bottomup_word_count_reduce,
             "topdown_per_file_counts_vec": self.topdown_per_file_counts_vec,
             "bottomup_per_file_counts_reduce": self.bottomup_per_file_counts_reduce,
-            "sequence_counts_vec": sequence.sequence_counts,
+            "sequence_counts_vec": self.sequence_counts_vec,
             "build_relational_tables_vec": traversal.build_relational_tables,
             "assemble_relational_rows_vec": traversal.assemble_relational_rows,
             "relational_filter_aggregate_vec": traversal.relational_filter_aggregate,

@@ -117,3 +117,55 @@ class TestSerialization:
         right.encode_word("a")
         right.allocate_splitters(2)
         assert left != right
+
+
+class TestIdSpaceViews:
+    """The decode array and lexical ranks that id-space shaping reads."""
+
+    WORDS = ["zeta", "Alpha", "alpha", "b2", "b10", "B", "10", "9", "éclair", "eclair", "Ωmega", "_x", "ß"]
+
+    def _dictionary(self, words):
+        dictionary = Dictionary()
+        dictionary.encode_tokens(words)
+        return dictionary
+
+    def test_ranks_order_words_exactly_as_sorted(self):
+        dictionary = self._dictionary(self.WORDS)
+        ranks = dictionary.lexical_ranks
+        by_rank = [word for _rank, word in sorted(zip(ranks.tolist(), self.WORDS))]
+        assert by_rank == sorted(self.WORDS)
+        assert sorted(ranks.tolist()) == list(range(len(self.WORDS)))
+
+    @given(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=40, unique=True))
+    def test_ranks_match_sorted_for_any_words(self, words):
+        ranks = self._dictionary(words).lexical_ranks.tolist()
+        assert [words[i] for i in sorted(range(len(words)), key=ranks.__getitem__)] == sorted(words)
+
+    def test_decode_array_maps_ids_to_words_without_splitters(self):
+        dictionary = self._dictionary(["a", "b"])
+        dictionary.allocate_splitters(2)
+        words = dictionary.decode_array
+        assert words.dtype == object and words.tolist() == ["a", "b"]
+        assert all(type(word) is str for word in words.tolist())
+
+    def test_views_are_memoized(self):
+        dictionary = self._dictionary(["b", "a"])
+        assert dictionary.decode_array is dictionary.decode_array
+        assert dictionary.lexical_ranks is dictionary.lexical_ranks
+
+    def test_views_refresh_after_a_new_word(self):
+        dictionary = self._dictionary(["m", "c"])
+        assert dictionary.lexical_ranks.tolist() == [1, 0]
+        assert dictionary.decode_array.tolist() == ["m", "c"]
+        dictionary.encode_word("a")
+        assert dictionary.lexical_ranks.tolist() == [2, 1, 0]
+        assert dictionary.decode_array.tolist() == ["m", "c", "a"]
+        dictionary.encode_word("m")  # a known word changes nothing
+        assert dictionary.lexical_ranks.tolist() == [2, 1, 0]
+
+    def test_views_refresh_after_splitters(self):
+        dictionary = self._dictionary(["a"])
+        stale = dictionary.decode_array
+        dictionary.allocate_splitters(1)
+        assert dictionary.decode_array is not stale
+        assert dictionary.decode_array.tolist() == ["a"]

@@ -13,6 +13,12 @@ own side produced upstream, and asserts
   kernel's :class:`~repro.perf.counters.KernelStats` in launch order, the
   host counter and the PCIe bytes.
 
+The count kernels return integer columns where their references return
+dicts; :func:`_as_dicts` puts a bulk result in the reference's format.
+Word and gram counts must also list their keys in the reference's
+order (an unranked result keeps it), and per-file rows must be sorted
+by ``(file, word id)``, the order id-space shaping relies on.
+
 The matrix covers the Table II analogues A-E at scale 0.05 and a
 six-row relational corpus, both traversal families, sequence lengths 2,
 3 and 4, and every file-subset-aware kernel with and without a two-file
@@ -25,6 +31,7 @@ port.
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
 from typing import Callable, Set
 
@@ -93,6 +100,25 @@ def _corpus(key: str):
     return compress_corpus(generate_dataset(key, scale=0.05))
 
 
+def _as_dicts(columns, num_files: int):
+    """A bulk count kernel's columns in its reference's dict format.
+
+    ``(word ids, counts)`` becomes ``{word id: count}``, ``(gram rows,
+    counts)`` becomes ``{gram: count}`` and ``(file indices, word ids,
+    counts)`` becomes one ``{word id: count}`` per file of the corpus.
+    """
+    *files, words, counts = columns
+    keys = map(tuple, words.tolist()) if words.ndim == 2 else words.tolist()
+    if not files:
+        return dict(zip(keys, counts.tolist()))
+    rows = list(zip(files[0].tolist(), words.tolist()))
+    assert rows == sorted(set(rows)), "per-file rows are not sorted by (file, word id)"
+    per_file = [dict() for _ in range(num_files)]
+    for file_index, word, count in zip(files[0].tolist(), keys, counts.tolist()):
+        per_file[file_index][word] = count
+    return per_file
+
+
 def _relational_spec(key: str, compressed) -> RelationalQuery:
     """The row corpus's delimited schema; elsewhere, group by a frequent word's follower."""
     if key == "rows":
@@ -118,10 +144,14 @@ class _Oracle:
     def __init__(self) -> None:
         self.compared: Set[str] = set()
 
-    def __call__(self, label: str, reference: Callable, bulk: Callable):
+    def __call__(self, label: str, reference: Callable, bulk: Callable, as_reference=None):
         ref_device, bulk_device = GPUDevice(), GPUDevice()
         expected = reference(ref_device)
         got = bulk(bulk_device)
+        if as_reference is not None:
+            got = as_reference(got)
+            if isinstance(expected, dict):
+                assert list(got) == list(expected), f"{label}: key orders differ"
         assert got == expected, f"{label}: results differ"
         assert bulk_device.record == ref_device.record, f"{label}: records differ"
         self.compared.update(kernel.name for kernel in ref_device.record.kernels)
@@ -162,10 +192,12 @@ def test_bulk_kernels_match_their_reference(key):
         lambda device: traversal.build_local_tables_bottomup(layout, device, bounds=bounds)[0],
         lambda device: vectorized.build_local_tables_vec(layout, device),
     )
+    as_dicts = functools.partial(_as_dicts, num_files=layout.num_files)
     oracle(
         "bottom-up word count",
         lambda device: traversal.bottomup_word_count(layout, device, local_tables=ref_tables),
         lambda device: vectorized.bottomup_word_count_reduce(layout, device, bulk_tables),
+        as_dicts,
     )
     for subset in subsets:
         oracle(
@@ -176,6 +208,7 @@ def test_bulk_kernels_match_their_reference(key):
             lambda device: vectorized.bottomup_per_file_counts_reduce(
                 layout, device, bulk_tables, subset
             ),
+            as_dicts,
         )
 
     # Top-down family (Algorithm 1).
@@ -188,6 +221,7 @@ def test_bulk_kernels_match_their_reference(key):
         "top-down word count",
         lambda device: traversal.topdown_word_count(layout, scheduler, device, weights=ref_weights),
         lambda device: vectorized.topdown_word_count_reduce(layout, scheduler, device, bulk_weights),
+        as_dicts,
     )
     ref_file_weights, bulk_file_weights = oracle(
         "file weights",
@@ -203,6 +237,7 @@ def test_bulk_kernels_match_their_reference(key):
             lambda device: vectorized.topdown_per_file_counts_vec(
                 layout, scheduler, device, bulk_file_weights, subset
             ),
+            as_dicts,
         )
 
     # Sequence counting (Figure 8); the head/tail buffers have no bulk port.
@@ -222,6 +257,7 @@ def test_bulk_kernels_match_their_reference(key):
                 lambda device: vectorized.sequence_counts_vec(
                     layout, scheduler, device, buffers, bulk_input, length, subset
                 ),
+                as_dicts,
             )
 
     # Relational parse, assembly, filter and aggregate.

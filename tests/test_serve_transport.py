@@ -201,6 +201,31 @@ class TestProcessReplay:
         assert pool.transport_kind == "process"
         assert report.results_match is True
 
+    def test_workers_spawn_before_the_replay_clock_starts(self, monkeypatch):
+        """``elapsed_seconds`` excludes setup: no worker spawns after the first submit."""
+        events = []
+        spawn, submit = ProcessTransport._spawn, ProcessTransport.submit
+
+        def recording_spawn(self):
+            events.append("spawn")
+            return spawn(self)
+
+        def recording_submit(self, *args, **kwargs):
+            events.append("submit")
+            return submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessTransport, "_spawn", recording_spawn)
+        monkeypatch.setattr(ProcessTransport, "submit", recording_submit)
+        compressed = compress_corpus(_corpus("spawn"))
+        trace = synthesize_trace(compressed.file_names, TraceConfig(num_requests=6, seed=3))
+        with ShardedAnalyticsService(
+            sharded_config=ShardedServiceConfig(num_shards=2, transport="process")
+        ) as pool:
+            report = replay_trace(pool, compressed, trace, clients=2, serial_baseline=False)
+        assert len(report.outcomes) == 6
+        assert events.count("spawn") == 2
+        assert "spawn" not in events[events.index("submit"):]
+
 
 # ----------------------------------------------------------------------------------------
 # Wire accounting
