@@ -16,9 +16,10 @@ new engine.  Both sides must be bit-identical per task, and the
 incremental side must cost **strictly fewer kernel launches AND less
 wall-clock** — the headline claim of the live-corpora design.
 
-Measurements are written to ``BENCH_incremental.json`` at the
-repository root so successive anchors can track the maintenance-cost
-curve.
+The deterministic counts (tokens, sync mode, kernel launches) are
+written to ``BENCH_incremental.json`` at the repository root, which is
+committed: a run on an unchanged tree leaves it unchanged.  The
+wall-clock seconds are only asserted and printed.
 """
 
 from __future__ import annotations
@@ -120,9 +121,6 @@ def _build_report(scale: float) -> str:
             "warm_kernel_launches": warm_launches,
             "cold_kernel_launches": cold_launches,
             "launch_cut": 1.0 - warm_launches / cold_launches,
-            "warm_seconds": warm_seconds,
-            "cold_seconds": cold_seconds,
-            "wall_clock_speedup": cold_seconds / warm_seconds,
         }
         rows.append(
             [
@@ -133,7 +131,7 @@ def _build_report(scale: float) -> str:
                 f"{trajectory[dataset]['launch_cut'] * 100:5.1f}%",
                 f"{warm_seconds * 1e3:8.1f}",
                 f"{cold_seconds * 1e3:8.1f}",
-                f"{trajectory[dataset]['wall_clock_speedup']:5.2f}x",
+                f"{cold_seconds / warm_seconds:5.2f}x",
             ]
         )
 
@@ -159,7 +157,7 @@ def _build_report(scale: float) -> str:
         "Every warm append took the session delta path, stayed bit-identical "
         "to scratch recompression (fingerprint and all task results), and "
         "cost strictly fewer kernel launches and less wall-clock than the "
-        f"cold path; trajectory written to {BENCH_JSON.name}."
+        f"cold path; counts written to {BENCH_JSON.name}."
     )
     return table + "\n\n" + summary
 

@@ -4,7 +4,7 @@ Two front ends share one implementation core
 (:class:`~repro.serve.service.ServingCore` — session LRU keyed by
 corpus fingerprint plus engine config, coalescing of compatible
 in-flight queries into ``run_batch`` micro-batches, a ``Query``-keyed
-result cache with byte/TTL bounds, and epoch-guarded fingerprint
+result cache with an optional byte budget, and epoch-guarded fingerprint
 invalidation):
 
 * :class:`AnalyticsService` — thread-based, blocking ``submit`` (the

@@ -8,25 +8,19 @@ need the same machinery — bounded capacity, recency ordering, hit/miss/
 eviction/invalidation counters, safe concurrent access — which lives
 here.
 
-Beyond the entry-count bound, a cache may carry
-
-* a **byte budget** (``max_weight_bytes``): every entry is inserted with
-  a weight (the result cache weighs an entry by the length of its
-  pickled result snapshot) and the least recently used entries are
-  evicted until the total weight fits the budget.  An entry heavier than
-  the whole budget is never retained.
-* a **TTL** (``ttl`` seconds): entries older than the TTL are dropped on
-  access (counted as *expirations*, separate from capacity evictions),
-  so republished corpora stop serving stale results even when nobody
-  calls ``invalidate``.
-
-Both knobs surface in :class:`CacheStats` (``weight_bytes``,
-``weight_capacity``, ``expirations``, ``ttl``).
+Beyond the entry-count bound, a cache may carry a **byte budget**
+(``max_weight_bytes``): every entry is inserted with a weight (the
+result cache weighs an entry by the length of its pickled result
+snapshot) and the least recently used entries are evicted until the
+total weight fits the budget.  An entry heavier than the whole budget
+is never retained.  The budget surfaces in :class:`CacheStats`
+(``weight_bytes``, ``weight_capacity``).  Stale entries leave when a
+corpus epoch retires them (:meth:`LRUCache.expire_where`, counted as
+*expirations*).
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
@@ -46,14 +40,12 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     invalidations: int = 0
-    #: Entries dropped because they outlived the cache's TTL.
+    #: Entries dropped because a newer corpus epoch retired them.
     expirations: int = 0
     #: Sum of resident entry weights (equals ``size`` for unweighted caches).
     weight_bytes: int = 0
     #: The byte budget (``None`` = entry-count bound only).
     weight_capacity: Optional[int] = None
-    #: Seconds an entry stays servable (``None`` = no TTL).
-    ttl: Optional[float] = None
 
     @property
     def lookups(self) -> int:
@@ -67,14 +59,13 @@ class CacheStats:
 
 
 class _Entry:
-    """One cached value plus its weight and insertion stamp."""
+    """One cached value plus its weight."""
 
-    __slots__ = ("value", "weight", "stamp")
+    __slots__ = ("value", "weight")
 
-    def __init__(self, value: Any, weight: int, stamp: float) -> None:
+    def __init__(self, value: Any, weight: int) -> None:
         self.value = value
         self.weight = weight
-        self.stamp = stamp
 
 
 class LRUCache:
@@ -83,10 +74,10 @@ class LRUCache:
     ``get`` and ``get_or_create`` count hits and misses; inserting past
     ``capacity`` (or past the optional ``max_weight_bytes`` budget)
     evicts least recently used entries (counted as evictions);
-    ``remove_where`` drops matching entries (counted as invalidations);
-    entries older than the optional ``ttl`` are collected lazily on
-    access (counted as expirations).  All operations hold one internal
-    lock, so the cache may be shared freely between worker threads.
+    ``remove_where`` drops matching entries (counted as invalidations)
+    and ``expire_where`` likewise (counted as expirations).  All
+    operations hold one internal lock, so the cache may be shared freely
+    between worker threads.
     """
 
     def __init__(
@@ -94,19 +85,13 @@ class LRUCache:
         capacity: int,
         *,
         max_weight_bytes: Optional[int] = None,
-        ttl: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         if max_weight_bytes is not None and max_weight_bytes < 1:
             raise ValueError("byte budget must be >= 1")
-        if ttl is not None and ttl <= 0:
-            raise ValueError("ttl must be positive")
         self.capacity = int(capacity)
         self._max_weight_bytes = max_weight_bytes
-        self._ttl = ttl
-        self._clock = clock
         self._entries: "OrderedDict[Any, _Entry]" = OrderedDict()
         self._weight = 0
         self._lock = make_lock("serve.cache")
@@ -118,16 +103,9 @@ class LRUCache:
 
     # -- lookups -----------------------------------------------------------------------
     def get(self, key: Any, default: Any = None) -> Any:
-        """The cached value (marking it most recent), or ``default`` on a miss.
-
-        An entry past its TTL counts as an expiration plus a miss.
-        """
+        """The cached value (marking it most recent), or ``default`` on a miss."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and self._expired(entry):
-                self._drop(key, entry)
-                self._expirations += 1
-                entry = None
             if entry is None:
                 self._misses += 1
                 return default
@@ -145,17 +123,13 @@ class LRUCache:
         """
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and self._expired(entry):
-                self._drop(key, entry)
-                self._expirations += 1
-                entry = None
             if entry is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
                 return entry.value, False
             self._misses += 1
             value = factory()
-            self._entries[key] = _Entry(value, 1, self._clock())
+            self._entries[key] = _Entry(value, 1)
             self._weight += 1
             self._evict_overflow()
             return value, True
@@ -181,11 +155,6 @@ class LRUCache:
         inserted.  An entry heavier than the whole byte budget is
         rejected up front — it could never be retained, and evicting
         residents to make room for it would only flush the cache.
-
-        Expired entries are *not* swept here (that would put an
-        O(capacity) scan on every write): they are collected lazily on
-        access and by :meth:`stats`, and the LRU-first overflow eviction
-        reclaims the oldest — most likely expired — entries anyway.
         """
         with self._lock:
             if guard is not None and not guard():
@@ -195,26 +164,15 @@ class LRUCache:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._weight -= old.weight
-            self._entries[key] = _Entry(value, max(0, int(weight)), self._clock())
+            self._entries[key] = _Entry(value, max(0, int(weight)))
             self._weight += max(0, int(weight))
             self._evict_overflow()
             return True
 
     # -- bounds ------------------------------------------------------------------------
-    def _expired(self, entry: _Entry) -> bool:
-        return self._ttl is not None and (self._clock() - entry.stamp) > self._ttl
-
     def _drop(self, key: Any, entry: _Entry) -> None:
         del self._entries[key]
         self._weight -= entry.weight
-
-    def _prune_expired(self) -> None:
-        if self._ttl is None:
-            return
-        doomed = [(key, entry) for key, entry in self._entries.items() if self._expired(entry)]
-        for key, entry in doomed:
-            self._drop(key, entry)
-            self._expirations += 1
 
     def _evict_overflow(self) -> None:
         while len(self._entries) > self.capacity:
@@ -314,12 +272,11 @@ class LRUCache:
 
     # -- introspection ------------------------------------------------------------------
     def __contains__(self, key: Any) -> bool:
-        """Whether a live (non-expired) entry exists, without touching any
-        counter or the recency order — a pure peek for callers deciding
-        whether a write-back is still needed."""
+        """Whether an entry exists, without touching any counter or the
+        recency order — a pure peek for callers deciding whether a
+        write-back is still needed."""
         with self._lock:
-            entry = self._entries.get(key)
-            return entry is not None and not self._expired(entry)
+            return key in self._entries
 
     def __len__(self) -> int:
         with self._lock:
@@ -331,9 +288,8 @@ class LRUCache:
             return list(self._entries)
 
     def stats(self) -> CacheStats:
-        """Current counters (expired entries are collected first)."""
+        """Current counters."""
         with self._lock:
-            self._prune_expired()
             return CacheStats(
                 capacity=self.capacity,
                 size=len(self._entries),
@@ -344,5 +300,4 @@ class LRUCache:
                 expirations=self._expirations,
                 weight_bytes=self._weight,
                 weight_capacity=self._max_weight_bytes,
-                ttl=self._ttl,
             )

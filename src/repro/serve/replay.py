@@ -1,9 +1,9 @@
 """Replay a request trace through the serving layer and measure it.
 
 :func:`replay_trace` is the one replay driver behind the CLI
-(``gtadoc serve-bench``), the serving benchmarks and the serving
-examples.  The caller builds the service and closes it; the service's
-``submit`` decides how the trace is driven:
+(``gtadoc serve-bench``), the serving tests and the serving examples.
+The caller builds the service and closes it; the service's ``submit``
+decides how the trace is driven:
 
 * a coroutine ``submit`` — :class:`~repro.serve.aio.AsyncAnalyticsService`,
   plain or as a shard pool's router client — runs on one event loop

@@ -18,9 +18,9 @@ shells over one :class:`ServingCore`:
   grouped into one ``run_batch`` micro-batch, charging initialization
   and shared traversal-state construction once for the whole group;
 * a :class:`~repro.api.query.Query`-keyed result cache in front of the
-  engines — entry-count bounded, optionally byte-budgeted and
-  TTL-bounded (:class:`ServiceConfig`), with hit/miss/eviction/
-  expiration statistics and explicit fingerprint-based invalidation;
+  engines — entry-count bounded and optionally byte-budgeted
+  (:class:`ServiceConfig`), with hit/miss/eviction/expiration
+  statistics and explicit fingerprint-based invalidation;
 * a per-fingerprint **epoch**: :meth:`ServingCore.invalidate` bumps the
   fingerprint's epoch before dropping entries, and every cache
   write-back is guarded on the epoch its query observed — an in-flight
@@ -121,8 +121,6 @@ class ServiceConfig:
     #: length of their pickled snapshot and evicted LRU-first past the
     #: budget (``None`` = entry-count bound only).
     result_cache_bytes: Optional[int] = None
-    #: Seconds a cached result stays servable (``None`` = no TTL).
-    result_cache_ttl: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_sessions < 1:
@@ -135,8 +133,6 @@ class ServiceConfig:
             raise ValueError("corpus_memo_capacity must be >= 1")
         if self.result_cache_bytes is not None and self.result_cache_bytes < 1:
             raise ValueError("result_cache_bytes must be >= 1")
-        if self.result_cache_ttl is not None and self.result_cache_ttl <= 0:
-            raise ValueError("result_cache_ttl must be positive")
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,7 @@ class ServiceStats:
 
     @property
     def epoch_expirations(self) -> int:
-        """Entries that outlived their epoch (corpus mutations, TTLs).
+        """Entries that outlived their epoch (corpus mutations).
 
         Lazily-dropped stale sessions and results are *expirations* —
         distinct from capacity evictions and explicit invalidations.
@@ -264,7 +260,6 @@ class ServingCore:
         self._results = LRUCache(
             self.config.result_cache_capacity,
             max_weight_bytes=self.config.result_cache_bytes,
-            ttl=self.config.result_cache_ttl,
         )
         self._stats_lock = make_lock("serve.stats")
         self._queries = 0

@@ -60,7 +60,7 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import Executor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import asyncio
@@ -337,14 +337,8 @@ class ShardedAnalyticsService:
         engine_config: Optional[GTadocConfig] = None,
         service_config: Optional[ServiceConfig] = None,
         sharded_config: Optional[ShardedServiceConfig] = None,
-        num_shards: Optional[int] = None,
-        replicas: Optional[int] = None,
     ) -> None:
         config = sharded_config or ShardedServiceConfig()
-        if num_shards is not None:
-            config = replace(config, num_shards=num_shards)
-        if replicas is not None:
-            config = replace(config, replication_factor=replicas)
         self.config = config
         self._engine_config = engine_config
         self._service_config = service_config or ServiceConfig()

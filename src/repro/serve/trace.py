@@ -3,8 +3,8 @@
 A serving workload is not a benchmark grid: requests repeat (users ask
 the same hot queries), mix tasks, and sprinkle per-query knobs.  The
 generator here produces a deterministic, seeded trace with exactly that
-shape so the CLI (``gtadoc serve-bench``), the serving benchmark and
-the serving example all replay the same kind of traffic.
+shape so the CLI (``gtadoc serve-bench``), the serving tests and the
+serving examples all replay the same kind of traffic.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ __all__ = [
     "synthesize_trace",
     "default_relational_specs",
 ]
+
+#: Largest file subset a restricted query may name (capped at the
+#: corpus size).
+_MAX_SUBSET_FILES = 2
 
 
 def default_relational_specs(
@@ -127,10 +131,6 @@ class TraceConfig:
     #: uses the engine default).
     sequence_lengths: Tuple[Optional[int], ...] = (None, None, 4)
     tasks: Tuple[Task, ...] = tuple(Task.all())
-    #: Largest file subset a restricted query may name (capped at the
-    #: corpus size).  Multi-corpus serving traces raise this so subset
-    #: queries exercise more than two files.
-    max_subset_files: int = 2
     #: Probability that a fresh request is a relational query (drawn
     #: from :attr:`relational_specs`) instead of a classic task.
     relational_fraction: float = 0.0
@@ -156,8 +156,6 @@ class TraceConfig:
         for fraction in fractions:
             if not 0.0 <= fraction <= 1.0:
                 raise ValueError("trace fractions must be within [0, 1]")
-        if self.max_subset_files < 1:
-            raise ValueError("max_subset_files must be >= 1")
         for spec in self.relational_specs:
             if not isinstance(spec, RelationalQuery):
                 raise ValueError("relational_specs must hold RelationalQuery specs")
@@ -225,7 +223,7 @@ def synthesize_trace(
         top_k = rng.choice((5, 10, 20)) if rng.random() < config.top_k_fraction else None
         files = None
         if len(file_names) > 1 and rng.random() < config.file_subset_fraction:
-            count = rng.randint(1, min(config.max_subset_files, len(file_names)))
+            count = rng.randint(1, min(_MAX_SUBSET_FILES, len(file_names)))
             files = tuple(rng.sample(list(file_names), count))
         if relational:
             query = Query(

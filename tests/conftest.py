@@ -17,7 +17,8 @@ import pytest
 from repro.analytics.reference import UncompressedAnalytics
 from repro.compression.compressor import compress_corpus
 from repro.data.corpus import Corpus, Document
-from repro.data.generators import generate_dataset
+from repro.data.generators import generate_dataset, list_datasets
+from repro.serve import TraceConfig
 
 
 @pytest.fixture(scope="session")
@@ -78,6 +79,25 @@ def many_files_compressed(many_files_corpus):
 @pytest.fixture(scope="session")
 def few_files_compressed(few_files_corpus):
     return compress_corpus(few_files_corpus)
+
+
+@pytest.fixture(scope="session")
+def dataset_compressed():
+    """Every Table II dataset analogue (A–E) at scale 0.05, compressed, by key."""
+    return {key: compress_corpus(generate_dataset(key, scale=0.05)) for key in list_datasets()}
+
+
+@pytest.fixture(scope="session")
+def replay_cases(few_files_compressed, dataset_compressed):
+    """``(label, compressed, TraceConfig)`` inputs of the serving replay tests.
+
+    The few-files corpus with a short trace, then every Table II analogue
+    with the seed-17, 48-request trace.
+    """
+    return [("few_files", few_files_compressed, TraceConfig(num_requests=32, seed=5))] + [
+        (key, compressed, TraceConfig(num_requests=48, seed=17))
+        for key, compressed in dataset_compressed.items()
+    ]
 
 
 @pytest.fixture(scope="session")

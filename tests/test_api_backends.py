@@ -43,7 +43,6 @@ MATRIX_BACKENDS = ALL_BACKENDS + ("serve", "serve_async", "serve_sharded")
 _BACKEND_OPTIONS = {
     "parallel": {"num_threads": 2},
     "distributed": {"cluster": ClusterSpec(num_nodes=2), "partitions_per_node": 1},
-    "serve_sharded": {"num_shards": 2},
 }
 
 

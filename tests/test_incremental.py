@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 import threading
-from functools import partial
 
 import pytest
 
@@ -39,7 +38,6 @@ SNAPSHOT_BACKENDS = ("cpu", "parallel", "distributed", "gpu_uncompressed", "refe
 
 _BACKEND_OPTIONS = {
     "parallel": {"num_threads": 2},
-    "serve_sharded": {"num_shards": 2},
 }
 
 _VOCAB = [f"w{i}" for i in range(20)]
@@ -275,7 +273,7 @@ class TestMutatingReplays:
         [
             (AnalyticsService, 4),
             (AsyncAnalyticsService, 16),
-            (partial(ShardedAnalyticsService, num_shards=2), 4),
+            (ShardedAnalyticsService, 4),
         ],
         ids=["threads", "asyncio", "sharded"],
     )

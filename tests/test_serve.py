@@ -30,7 +30,6 @@ from repro.core.session import (
 )
 from repro.core.strategy import TraversalStrategy
 from repro.data.corpus import Corpus
-from repro.data.generators import generate_dataset
 from repro.serve import (
     AnalyticsService,
     AsyncAnalyticsService,
@@ -96,6 +95,16 @@ class TestLRUCache:
         with pytest.raises(ValueError):
             LRUCache(0)
 
+    def test_contains_is_a_pure_peek(self):
+        cache = LRUCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)  # "a" is least recently used
+        assert "a" in cache and "c" not in cache
+        stats = cache.stats()
+        assert stats.hits == 0 and stats.misses == 0  # no counter was touched
+        cache.put("c", 3)  # the peek did not refresh "a": it is still evicted
+        assert cache.keys() == ["b", "c"]
+
 
 class TestLRUCacheByteBudget:
     def test_budget_evicts_by_weight_lru_first(self):
@@ -156,51 +165,6 @@ class TestLRUCacheDiscard:
         assert cache.get("k") is second
         assert cache.discard("k", when=lambda value: value is second) is True
         assert len(cache) == 0
-
-
-class TestLRUCacheTTL:
-    def test_expired_entries_miss_and_count_expirations(self):
-        now = [0.0]
-        cache = LRUCache(4, ttl=10.0, clock=lambda: now[0])
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        now[0] = 11.0
-        assert cache.get("a") is None
-        stats = cache.stats()
-        assert stats.expirations == 1
-        assert stats.hits == 1 and stats.misses == 1
-        assert stats.size == 0
-        assert stats.ttl == 10.0
-
-    def test_fresh_entries_survive(self):
-        now = [0.0]
-        cache = LRUCache(4, ttl=10.0, clock=lambda: now[0])
-        cache.put("a", 1)
-        now[0] = 9.0
-        assert cache.get("a") == 1
-
-    def test_stats_collects_expired_entries(self):
-        now = [0.0]
-        cache = LRUCache(4, ttl=10.0, clock=lambda: now[0])
-        cache.put("a", 1)
-        now[0] = 20.0
-        cache.put("b", 2)  # writes never scan for expiry (hot path)
-        stats = cache.stats()
-        assert stats.size == 1 and stats.expirations == 1
-
-    def test_rejects_non_positive_ttl(self):
-        with pytest.raises(ValueError):
-            LRUCache(4, ttl=0.0)
-
-    def test_contains_is_a_pure_peek(self):
-        now = [0.0]
-        cache = LRUCache(4, ttl=10.0, clock=lambda: now[0])
-        cache.put("a", 1)
-        assert "a" in cache and "b" not in cache
-        now[0] = 11.0
-        assert "a" not in cache  # expired entries do not count
-        stats = cache.stats()
-        assert stats.hits == 0 and stats.misses == 0  # no counter was touched
 
 
 class TestLRUCacheRekey:
@@ -344,18 +308,15 @@ class TestBatchSharedFigures:
 # ----------------------------------------------------------------------------------------
 
 class TestServiceConcurrency:
-    def test_mixed_concurrent_queries_bit_identical_to_serial(self, few_files_compressed):
-        trace = synthesize_trace(
-            few_files_compressed.file_names, TraceConfig(num_requests=32, seed=5)
-        )
-        report = replay_trace(
-            AnalyticsService(), few_files_compressed, trace, clients=NUM_THREADS
-        )
-        assert report.results_match
-        # The acceptance criterion: strictly fewer kernel launches per
-        # query than serial per-query run() execution.
-        assert report.stats.kernel_launches < report.serial_launches
-        assert report.served_launches_per_query < report.serial_launches_per_query
+    def test_mixed_concurrent_queries_bit_identical_to_serial(self, replay_cases):
+        for label, compressed, config in replay_cases:
+            trace = synthesize_trace(compressed.file_names, config)
+            report = replay_trace(AnalyticsService(), compressed, trace, clients=NUM_THREADS)
+            assert report.results_match, label
+            # The acceptance criterion: strictly fewer kernel launches per
+            # query than serial per-query run() execution.
+            assert report.stats.kernel_launches < report.serial_launches, label
+            assert report.served_launches_per_query < report.serial_launches_per_query, label
 
     def test_simultaneous_compatible_queries_coalesce(self, tiny_compressed, gate_first_batch):
         service = AnalyticsService(
@@ -744,9 +705,9 @@ class TestMicroBatchFusion:
 
     @pytest.mark.parametrize("dataset", ["A", "B", "C", "D", "E"])
     def test_fused_trace_launches_fewer_kernels_with_identical_results(
-        self, monkeypatch, dataset
+        self, monkeypatch, dataset_compressed, dataset
     ):
-        compressed = compress_corpus(generate_dataset(dataset, scale=0.05))
+        compressed = dataset_compressed[dataset]
         trace = synthesize_trace(
             compressed.file_names, TraceConfig(num_requests=48, seed=17)
         )
@@ -877,7 +838,7 @@ class TestInvalidateInflightRace:
 
 
 # ----------------------------------------------------------------------------------------
-# Result-cache byte budget and TTL through ServiceConfig
+# Result-cache byte budget through ServiceConfig
 # ----------------------------------------------------------------------------------------
 
 class TestServiceResultCachePolicy:
@@ -921,25 +882,9 @@ class TestServiceResultCachePolicy:
         assert stats.weight_capacity is None
         assert stats.weight_bytes == stats.size == 1
 
-    def test_ttl_expires_cached_results(self, tiny_compressed):
-        service = AnalyticsService(
-            tiny_compressed, service_config=ServiceConfig(result_cache_ttl=60.0)
-        )
-        assert service.stats().result_cache.ttl == 60.0
-        # Swap in a fake clock so the test does not sleep.
-        now = [0.0]
-        service._results = LRUCache(8, ttl=1.0, clock=lambda: now[0])
-        service.submit(Query(task=Task.SORT))
-        assert service.submit(Query(task=Task.SORT)).details["result_cache"] == "hit"
-        now[0] = 5.0
-        assert service.submit(Query(task=Task.SORT)).details["result_cache"] == "miss"
-        assert service.stats().result_cache.expirations == 1
-
     def test_bad_policy_values_rejected(self):
         with pytest.raises(ValueError):
             ServiceConfig(result_cache_bytes=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(result_cache_ttl=0.0)
 
 
 # ----------------------------------------------------------------------------------------

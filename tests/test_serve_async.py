@@ -27,7 +27,6 @@ from repro.serve import (
     AsyncAnalyticsService,
     AsyncServeBackend,
     ServiceConfig,
-    TraceConfig,
     replay_trace,
     synthesize_trace,
 )
@@ -315,28 +314,25 @@ class TestAsyncCancellation:
 # ----------------------------------------------------------------------------------------
 
 class TestAsyncReplay:
-    def test_seeded_trace_bit_identical_and_coalesces_at_least_as_well(
-        self, few_files_compressed
-    ):
-        trace = synthesize_trace(
-            few_files_compressed.file_names, TraceConfig(num_requests=32, seed=5)
-        )
-        threaded = replay_trace(
-            AnalyticsService(),
-            few_files_compressed,
-            trace,
-            clients=NUM_THREADS,
-            serial_baseline=False,
-        )
-        with AsyncAnalyticsService() as service:
-            report = replay_trace(service, few_files_compressed, trace, clients=len(trace))
-        assert report.results_match
-        assert report.stats.kernel_launches < report.serial_launches
-        assert report.served_launches_per_query < report.serial_launches_per_query
-        # With the whole trace in flight, the batches that queue behind each
-        # executing batch must coalesce at least as well as the 6-thread
-        # service on the same trace.
-        assert report.stats.mean_batch_size >= threaded.stats.mean_batch_size
+    def test_seeded_trace_bit_identical_and_coalesces_at_least_as_well(self, replay_cases):
+        for label, compressed, config in replay_cases:
+            trace = synthesize_trace(compressed.file_names, config)
+            threaded = replay_trace(
+                AnalyticsService(),
+                compressed,
+                trace,
+                clients=NUM_THREADS,
+                serial_baseline=False,
+            )
+            with AsyncAnalyticsService() as service:
+                report = replay_trace(service, compressed, trace, clients=len(trace))
+            assert report.results_match, label
+            assert report.stats.kernel_launches < report.serial_launches, label
+            assert report.served_launches_per_query < report.serial_launches_per_query, label
+            # With the whole trace in flight, the batches that queue behind
+            # each executing batch must coalesce at least as well as the
+            # 6-thread service on the same trace.
+            assert report.stats.mean_batch_size >= threaded.stats.mean_batch_size, label
 
     def test_repeated_queries_hit_the_result_cache_across_bursts(self, tiny_compressed):
         service = AsyncAnalyticsService(tiny_compressed)

@@ -501,7 +501,7 @@ class TestShardedReplay:
 
     def test_multi_corpus_replay_matches_serial(self, shard_corpora):
         corpora = shard_corpora[:3]
-        with ShardedAnalyticsService(num_shards=2) as pool:
+        with ShardedAnalyticsService() as pool:
             report = replay_trace(pool, corpora, self._trace(corpora), clients=4)
         assert len(report.stats.shards) == 2
         assert report.results_match
@@ -510,9 +510,7 @@ class TestShardedReplay:
 
     def test_no_shard_exceeds_its_session_budget(self, shard_corpora):
         corpora = shard_corpora[:4]
-        with ShardedAnalyticsService(
-            num_shards=2, service_config=ServiceConfig(max_sessions=2)
-        ) as pool:
+        with ShardedAnalyticsService(service_config=ServiceConfig(max_sessions=2)) as pool:
             report = replay_trace(pool, corpora, self._trace(corpora), clients=4)
         for shard in report.stats.shards:
             assert shard.session_cache.size <= 2
@@ -520,7 +518,7 @@ class TestShardedReplay:
     def test_async_router_replay_matches_serial(self, shard_corpora):
         corpora = shard_corpora[:2]
         with (
-            ShardedAnalyticsService(num_shards=2) as pool,
+            ShardedAnalyticsService() as pool,
             AsyncAnalyticsService(router=pool) as client,
         ):
             report = replay_trace(
@@ -534,14 +532,47 @@ class TestShardedReplay:
         trace = synthesize_trace(
             compressed.file_names, TraceConfig(num_requests=10, seed=3)
         )
-        with ShardedAnalyticsService(num_shards=2) as pool:
+        with ShardedAnalyticsService() as pool:
             report = replay_trace(pool, compressed, trace, clients=2)
         assert report.results_match
 
     def test_trace_with_out_of_range_source_rejected(self, shard_corpora):
-        with ShardedAnalyticsService(num_shards=2) as pool:
+        with ShardedAnalyticsService() as pool:
             with pytest.raises(ValueError, match="source"):
                 replay_trace(pool, shard_corpora[:2], [(5, Query(task=Task.WORD_COUNT))])
+
+    def test_pool_launches_no_more_than_one_device(self, dataset_compressed):
+        """Five corpora against a 2-session device budget: one service
+        thrashes its session LRU, while 3 shards with the same budget
+        each keep their corpora resident.  One client on both sides
+        makes the launch counts deterministic."""
+        corpora = list(dataset_compressed.values())
+        sub_traces = [
+            synthesize_trace(
+                compressed.file_names, TraceConfig(num_requests=12, seed=17 + index)
+            )
+            for index, compressed in enumerate(corpora)
+        ]
+        # Round-robin over the corpora: the mix a multi-tenant pool sees.
+        trace = [
+            (index, sub_trace[position])
+            for position in range(12)
+            for index, sub_trace in enumerate(sub_traces)
+        ]
+        device = ServiceConfig(max_sessions=2)
+        single = replay_trace(
+            AnalyticsService(service_config=device),
+            corpora,
+            trace,
+            clients=1,
+            serial_baseline=False,
+        )
+        with ShardedAnalyticsService(
+            service_config=device, sharded_config=ShardedServiceConfig(num_shards=3)
+        ) as pool:
+            sharded = replay_trace(pool, corpora, trace, clients=1, serial_baseline=False)
+        assert sharded.stats.kernel_launches <= single.stats.kernel_launches
+        assert all(resident <= 2 for resident in sharded.stats.resident_sessions)
 
 
 # ----------------------------------------------------------------------------------------
@@ -568,29 +599,12 @@ class TestTraceRepeatBias:
         )
         assert len(set(trace)) < len(trace)  # repeats did happen
 
-    def test_max_subset_files_lifts_the_two_file_cap(self):
-        config = TraceConfig(
-            num_requests=120,
-            seed=7,
-            repeat_fraction=0.0,
-            file_subset_fraction=1.0,
-            max_subset_files=3,
-        )
-        trace = synthesize_trace(self.NAMES, config)
-        sizes = {len(query.files) for query in trace if query.files}
-        assert 3 in sizes
-        assert max(sizes) <= 3
-
     def test_default_keeps_the_historical_cap(self):
         config = TraceConfig(
             num_requests=80, seed=7, repeat_fraction=0.0, file_subset_fraction=1.0
         )
         trace = synthesize_trace(self.NAMES, config)
         assert max(len(query.files) for query in trace if query.files) <= 2
-
-    def test_max_subset_files_validated(self):
-        with pytest.raises(ValueError, match="max_subset_files"):
-            TraceConfig(max_subset_files=0)
 
 
 # ----------------------------------------------------------------------------------------

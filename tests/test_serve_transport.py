@@ -410,18 +410,38 @@ class TestCrashIsolation:
             with pytest.raises(ShardFailure):
                 service.submit(Query(task=Task.WORD_COUNT), source=compressed)
 
-    def test_real_worker_kill_recovers_with_identical_results(self):
-        compressed = compress_corpus(_corpus("crash6"))
-        query = Query(task=Task.SORT, top_k=6)
-        expected = AnalyticsService(compressed).submit(query).result
+    @pytest.mark.parametrize("case", ["every_shard", "owner_of_first_dataset"])
+    def test_real_worker_kill_recovers_with_identical_results(self, dataset_compressed, case):
+        # every_shard: one corpus, every worker killed.  The other case
+        # kills the owner of A among A, B and D, three probes each.
+        if case == "every_shard":
+            corpora = [compress_corpus(_corpus("crash6"))]
+            probes = [Query(task=Task.SORT, top_k=6)]
+        else:
+            corpora = [dataset_compressed[key] for key in "ABD"]
+            probes = [
+                Query(task=Task.WORD_COUNT, top_k=10),
+                Query(task=Task.SORT, top_k=8),
+                Query(task=Task.SEQUENCE_COUNT, sequence_length=3, top_k=5),
+            ]
+        expected = [
+            [AnalyticsService(compressed).submit(probe).result for probe in probes]
+            for compressed in corpora
+        ]
         with _pool("process") as service:
-            first = service.submit(query, source=compressed)
-            assert first.result == expected
-            for shard in service._shards:
+            # Warm every corpus first, so the kill lands on resident state.
+            for compressed, answers in zip(corpora, expected):
+                assert service.submit(probes[0], source=compressed).result == answers[0]
+            if case == "every_shard":
+                victims = service._shards
+            else:
+                victims = [service._shards[service.shard_for(corpora[0])]]
+            for shard in victims:
                 shard.transport.kill()
-            second = service.submit(query, source=compressed)
+            for compressed, answers in zip(corpora, expected):
+                for probe, want in zip(probes, answers):
+                    assert service.submit(probe, source=compressed).result == want
             stats = service.stats()
-        assert second.result == expected
         assert stats.shard_failures >= 1
         assert stats.replaced_shards == stats.shard_failures
         assert stats.moved_sessions == 0
