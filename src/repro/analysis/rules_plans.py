@@ -1,7 +1,8 @@
 """Plan-coverage rule: every task planned, every backend a real backend.
 
-The engine dispatches through :data:`repro.core.plans.PLAN_REGISTRY`, so
-a :class:`~repro.analytics.base.Task` member without a plan is a latent
+The engine reads each task's result family from
+:data:`repro.core.plans.TASK_FAMILIES`, so a
+:class:`~repro.analytics.base.Task` member without a family is a latent
 ``KeyError`` on a path no example test may cover.  Likewise the registry
 in ``api/registry.py`` hands out whatever ``register_backend`` was given
 — this rule statically verifies each registered class (or the class a
@@ -46,7 +47,7 @@ def _plan_keys(source: SourceFile) -> Tuple[Set[str], int]:
             targets = [node.target.id]
         else:
             continue
-        if "PLAN_REGISTRY" not in targets or not isinstance(node.value, ast.Dict):
+        if "TASK_FAMILIES" not in targets or not isinstance(node.value, ast.Dict):
             continue
         keys = {
             key.attr
@@ -130,7 +131,7 @@ class _ClassIndex:
         return False
 
 
-@rule(RULE, "every Task has a plan; every registered backend satisfies the protocol")
+@rule(RULE, "every Task has a family; every registered backend satisfies the protocol")
 def check(project: Project) -> List[Finding]:
     findings: List[Finding] = []
 
@@ -143,8 +144,8 @@ def check(project: Project) -> List[Finding]:
             if member not in keys:
                 findings.append(plans_src.finding(
                     RULE, line,
-                    f"Task.{member} has no entry in PLAN_REGISTRY; every task "
-                    f"member needs a registered TaskPlan",
+                    f"Task.{member} has no entry in TASK_FAMILIES; every task "
+                    f"member needs a result family",
                 ))
 
     registry_src = project.file(_REGISTRY_MODULE)

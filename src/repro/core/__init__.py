@@ -18,15 +18,15 @@ The sub-modules map onto the paper's sections:
 * :mod:`repro.core.tuning` — greedy parameter selection,
 * :mod:`repro.core.session` — the long-lived :class:`DeviceSession`
   caching shared device state across queries,
-* :mod:`repro.core.plans` — the declarative task-plan registry
-  (required session state + marginal traversal program per task),
+* :mod:`repro.core.plans` — each task's result family, and the task
+  program (required session state + one traversal pass per family),
 * :mod:`repro.core.engine` — the :class:`GTadoc` facade tying it all
-  together (single runs, amortized batches).
+  together: one executor behind single runs, amortized batches and
+  fused batches.
 """
 
 from repro.core.engine import GTadoc, GTadocBatchResult, GTadocConfig, GTadocRunResult
 from repro.core.layout import DeviceRuleLayout
-from repro.core.plans import PLAN_REGISTRY, TaskPlan, plan_for
 from repro.core.session import DeviceSession, StateKey, sequence_buffers_key
 from repro.core.scheduler import (
     FineGrainedScheduler,
@@ -45,9 +45,6 @@ __all__ = [
     "DeviceSession",
     "StateKey",
     "sequence_buffers_key",
-    "TaskPlan",
-    "PLAN_REGISTRY",
-    "plan_for",
     "DeviceRuleLayout",
     "FineGrainedScheduler",
     "ThreadAssignment",

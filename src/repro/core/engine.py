@@ -1,4 +1,4 @@
-"""The G-TADOC engine: session state, task plans, result assembly.
+"""The G-TADOC engine: session state, task programs, result assembly.
 
 :class:`GTadoc` is the library's main entry point (the equivalent of
 the CompressDirect GPU interfaces in section V of the paper).  A run
@@ -14,41 +14,38 @@ has the two phases of Figure 3:
   into global thread-safe tables.
 
 The engine is layered: a :class:`~repro.core.session.DeviceSession`
-owns the long-lived cached device state, the
-:mod:`~repro.core.plans` registry declares what each task needs and how
-its marginal traversal runs, and the engine orchestrates the two.
+owns the long-lived cached device state, :mod:`~repro.core.plans` runs
+a *program* (the state a set of tasks needs plus one traversal pass per
+result family), and the engine's one executor picks each task's
+strategy and attributes the work records.
 
-* :meth:`GTadoc.run` executes one task on a *fresh* session — the full
-  per-query cost, recorded per phase, exactly as the paper measures a
-  single run.
-* :meth:`GTadoc.run_batch` executes many tasks against the engine's
-  persistent session: initialization and shared-state construction are
-  charged once at batch level, and each task's record reflects only its
-  marginal traversal work.  :meth:`GTadoc.run_all` is a batch over all
-  six CompressDirect tasks.
+* :meth:`GTadoc.run` executes one task on a *fresh* session — a
+  one-task :meth:`GTadoc.run_batch` whose shared construction is folded
+  into the task's records: the full per-query cost, recorded per phase,
+  exactly as the paper measures a single run.
+* :meth:`GTadoc.run_batch` runs one program per task against the
+  engine's persistent session: initialization and shared-state
+  construction are charged once at batch level, and each task's record
+  reflects only its marginal traversal work.  :meth:`GTadoc.run_all` is
+  a batch over all six CompressDirect tasks.
+* :meth:`GTadoc.run_fused` runs one program for all tasks, so each
+  family's primitive runs once for the whole batch (the serving
+  layer's micro-batches).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.analytics.base import Task, TaskResult, normalize_result
 from repro.analytics.encoded import EncodedResult
 from repro.compression.compressor import CompressedCorpus
 from repro.core.layout import DeviceRuleLayout
-from repro.core.plans import (
-    DEFAULT_PARAMS,
-    PlanResult,
-    QueryParams,
-    TaskPlan,
-    fused_execution_strategies,
-    fused_required_state,
-    plan_for,
-    run_fused_program,
-)
-from repro.core.session import BASE_INIT, DeviceSession, GTadocConfig
+from repro.core.plans import DEFAULT_PARAMS, TASK_FAMILIES, PlanResult, QueryParams, run_program
+from repro.core.session import DeviceSession, GTadocConfig
 from repro.core.strategy import StrategyDecision, TraversalStrategy, TraversalStrategySelector
 from repro.gpusim.device import GPUDevice
 from repro.perf.counters import GpuRunRecord
@@ -59,18 +56,23 @@ __all__ = ["GTadocConfig", "GTadocRunResult", "GTadocBatchResult", "GTadoc"]
 
 @dataclass
 class GTadocRunResult:
-    """Everything one :meth:`GTadoc.run` call produces.
+    """Everything one task of a :class:`GTadoc` call produces.
 
-    For results coming out of :meth:`GTadoc.run_batch`, every field is
-    marginal: ``init_record`` holds only the task's own initialization
-    work (usually none — shared initialization is charged once on the
-    batch), ``traversal_record`` only its marginal traversal kernels,
-    ``memory_pool_bytes`` only the pool growth the task caused
-    (cumulative pool usage lives on the batch result), and
-    ``scheduler_summary`` is empty — the scheduler is shared session
-    state, so its summary is reported once on the batch.
+    From :meth:`GTadoc.run`, every field covers the whole fresh-session
+    run.  From :meth:`GTadoc.run_batch` and :meth:`GTadoc.run_fused`,
+    every field is marginal: ``init_record`` holds only the task's own
+    initialization work (usually none — shared initialization is charged
+    once on the batch); ``traversal_record`` holds the kernels of the
+    task's program and ``memory_pool_bytes`` the pool growth from just
+    before that program ensured its state (cumulative pool usage lives
+    on the batch result); and ``scheduler_summary`` is empty — the
+    scheduler is shared session state, so its summary is reported once
+    on the batch.  ``run_batch`` runs one program per task;
+    ``run_fused`` runs one program for the whole batch and reports its
+    kernels and pool growth on the first task, with an empty record and
+    0 on the others.
 
-    ``output`` is what the task's plan returned: for the six classic
+    ``output`` is what the task's program returned: for the six classic
     tasks an id-space :class:`~repro.analytics.encoded.EncodedResult`,
     which :func:`repro.api.shape_result` filters, cuts and orders before
     decoding only the rows a query keeps; for relational queries the row
@@ -106,7 +108,7 @@ class GTadocRunResult:
 
 @dataclass
 class GTadocBatchResult(Mapping):
-    """Outcome of :meth:`GTadoc.run_batch`: per-task results + shared records.
+    """Outcome of :meth:`GTadoc.run_batch` or :meth:`GTadoc.run_fused`: per-task results + shared records.
 
     Behaves as a mapping from :class:`Task` to :class:`GTadocRunResult`,
     so existing ``run_all`` callers keep working.  Shared figures are
@@ -211,27 +213,28 @@ class GTadoc:
         front door for these per-query knobs is
         :class:`repro.api.Query` via :func:`repro.api.open_backend`.
         """
-        params = self._params(sequence_length, file_indices, relational)
         # Catch the persistent session up with any corpus mutations first,
         # so the fresh session inherits a current-epoch layout.
         self._session.sync_with_corpus()
-        session = self._session.fresh()
-        task, output, strategy, decision, marginal = self._execute_task(
-            session, task, traversal, params
+        batch = self.run_batch(
+            [task],
+            traversal,
+            self._session.fresh(),
+            sequence_length=sequence_length,
+            file_indices=file_indices,
+            relational=relational,
         )
-        init_record, shared_record = session.drain_new_records()
+        (run,) = batch.values()
+        # A single run's traversal includes the shared state it built.
         traversal_record = GpuRunRecord()
-        traversal_record.merge(shared_record)
-        traversal_record.merge(marginal)
-        return GTadocRunResult(
-            task=task,
-            output=output,
-            strategy=strategy,
-            strategy_decision=decision,
-            init_record=init_record,
+        traversal_record.merge(batch.shared_record)
+        traversal_record.merge(run.traversal_record)
+        return dataclasses.replace(
+            run,
+            init_record=batch.init_record,
             traversal_record=traversal_record,
-            memory_pool_bytes=session.memory_pool_bytes,
-            scheduler_summary=session.scheduler.summary(),
+            memory_pool_bytes=batch.memory_pool_bytes,
+            scheduler_summary=batch.scheduler_summary,
         )
 
     def run_batch(
@@ -244,7 +247,7 @@ class GTadoc:
         file_indices: Optional[Iterable[int]] = None,
         relational: Optional["RelationalQuery"] = None,
     ) -> GTadocBatchResult:
-        """Execute several tasks against one shared session.
+        """Execute several tasks against one shared session, one program each.
 
         Initialization and shared-state construction are performed (and
         recorded) once — on the batch's ``init_record``/``shared_record`` —
@@ -259,40 +262,7 @@ class GTadoc:
         isolation.
         """
         params = self._params(sequence_length, file_indices, relational)
-        requested_tasks = Task.all() if tasks is None else tasks
-        task_list = [Task.from_name(t) if isinstance(t, str) else t for t in requested_tasks]
-        # Duplicates collapse to one execution (results are keyed by task),
-        # keeping the batch's work records consistent with what ran.
-        task_list = list(dict.fromkeys(task_list))
-        session = session if session is not None else self._session
-        results: Dict[Task, GTadocRunResult] = {}
-        # The session lock is held across the whole batch so concurrent
-        # batches on one session serialize and the drained construction
-        # records are attributed to the batch that actually built them.
-        with session.lock:
-            session.sync_with_corpus()
-            for requested in task_list:
-                pool_before = session.memory_pool_bytes
-                task, output, strategy, decision, marginal = self._execute_task(
-                    session, requested, traversal, params
-                )
-                results[task] = GTadocRunResult(
-                    task=task,
-                    output=output,
-                    strategy=strategy,
-                    strategy_decision=decision,
-                    init_record=GpuRunRecord(),
-                    traversal_record=marginal,
-                    memory_pool_bytes=session.memory_pool_bytes - pool_before,
-                )
-            init_record, shared_record = session.drain_new_records()
-            return GTadocBatchResult(
-                results=results,
-                init_record=init_record,
-                shared_record=shared_record,
-                memory_pool_bytes=session.memory_pool_bytes,
-                scheduler_summary=session.scheduler.summary(),
-            )
+        return self._execute(tasks, traversal, session, params, fuse=False)
 
     def run_fused(
         self,
@@ -306,74 +276,19 @@ class GTadoc:
     ) -> GTadocBatchResult:
         """Serve several tasks from one fused traversal pass.
 
-        Where :meth:`run_batch` runs each task's marginal program
-        back-to-back, a fused batch walks the shared rule structure once
-        per result family: the per-file counts answer every
-        file-sensitive task and any co-batched corpus-wide task, so the
-        batch launches strictly fewer kernels whenever tasks share a
-        family.  Results are bit-identical to :meth:`run_batch`; the
-        fused kernels are recorded once, on the batch's first task, and
-        each task's ``strategy`` reports what its family primitive
+        Where :meth:`run_batch` runs one program per task, a fused batch
+        runs one program for all of them, walking the shared rule
+        structure once per result family: the per-file counts answer
+        every file-sensitive task and any co-batched corpus-wide task,
+        so the batch launches strictly fewer kernels whenever tasks
+        share a family.  Results are bit-identical to :meth:`run_batch`;
+        the fused kernels are recorded once, on the batch's first task,
+        and each task's ``strategy`` reports what its family primitive
         actually executed (its own selector decision is kept in
         ``strategy_decision``).
         """
         params = self._params(sequence_length, file_indices, relational)
-        requested_tasks = Task.all() if tasks is None else tasks
-        task_list = [Task.from_name(t) if isinstance(t, str) else t for t in requested_tasks]
-        task_list = list(dict.fromkeys(task_list))
-        session = session if session is not None else self._session
-        with session.lock:
-            session.sync_with_corpus()
-            if params.filtered:
-                num_files = session.layout.num_files
-                for file_index in params.file_indices:
-                    if not 0 <= file_index < num_files:
-                        raise ValueError(
-                            f"file index {file_index} out of range (corpus has {num_files} files)"
-                        )
-            selector = TraversalStrategySelector(session.layout) if traversal is None else None
-            decisions: Dict[Task, Optional[StrategyDecision]] = {}
-            strategies: Dict[Task, TraversalStrategy] = {}
-            for task in task_list:
-                plan: TaskPlan = plan_for(task)
-                decision: Optional[StrategyDecision] = None
-                if selector is not None:
-                    decision = selector.select(task)
-                    strategy = decision.strategy
-                else:
-                    strategy = traversal
-                if plan.fixed_strategy is not None:
-                    strategy = plan.fixed_strategy
-                decisions[task] = decision
-                strategies[task] = strategy
-            executed = fused_execution_strategies(strategies)
-            session.ensure(BASE_INIT)
-            session.ensure(*fused_required_state(strategies, session.config, params))
-            fused = GpuRunRecord()
-            device = GPUDevice(record=fused)
-            pool_before = session.memory_pool_bytes
-            outputs = run_fused_program(session, device, strategies, params)
-            results: Dict[Task, GTadocRunResult] = {}
-            for position, task in enumerate(task_list):
-                results[task] = GTadocRunResult(
-                    task=task,
-                    output=outputs[task],
-                    strategy=executed[task],
-                    strategy_decision=decisions[task],
-                    init_record=GpuRunRecord(),
-                    traversal_record=fused if position == 0 else GpuRunRecord(),
-                    memory_pool_bytes=(
-                        session.memory_pool_bytes - pool_before if position == 0 else 0
-                    ),
-                )
-            init_record, shared_record = session.drain_new_records()
-            return GTadocBatchResult(
-                results=results,
-                init_record=init_record,
-                shared_record=shared_record,
-                memory_pool_bytes=session.memory_pool_bytes,
-                scheduler_summary=session.scheduler.summary(),
-            )
+        return self._execute(tasks, traversal, session, params, fuse=True)
 
     def run_all(self, traversal: Optional[TraversalStrategy] = None) -> GTadocBatchResult:
         """Run every task (evaluation order) as one batch.
@@ -383,7 +298,7 @@ class GTadoc:
         """
         return self.run_batch(Task.all(), traversal=traversal)
 
-    # -- plan execution ------------------------------------------------------------------------
+    # -- program execution ---------------------------------------------------------------------
     @staticmethod
     def _params(
         sequence_length: Optional[int],
@@ -399,39 +314,68 @@ class GTadoc:
             relational=relational,
         )
 
-    def _execute_task(
+    def _execute(
         self,
-        session: DeviceSession,
-        task: Union[Task, str],
+        tasks: Optional[Iterable[Union[Task, str]]],
         traversal: Optional[TraversalStrategy],
-        params: QueryParams = DEFAULT_PARAMS,
-    ) -> Tuple[Task, PlanResult, TraversalStrategy, Optional[StrategyDecision], GpuRunRecord]:
-        """Ensure required state on ``session``, then run the marginal program."""
-        if isinstance(task, str):
-            task = Task.from_name(task)
-        plan: TaskPlan = plan_for(task)
-
-        decision: Optional[StrategyDecision] = None
-        if traversal is None:
-            decision = TraversalStrategySelector(session.layout).select(task)
-            strategy = decision.strategy
-        else:
-            strategy = traversal
-        if plan.fixed_strategy is not None:
-            strategy = plan.fixed_strategy
-
-        if params.filtered:
-            num_files = session.layout.num_files
-            for file_index in params.file_indices:
-                if not 0 <= file_index < num_files:
-                    raise ValueError(
-                        f"file index {file_index} out of range (corpus has {num_files} files)"
+        session: Optional[DeviceSession],
+        params: QueryParams,
+        fuse: bool,
+    ) -> GTadocBatchResult:
+        """Run one program per task, or one program for all tasks if ``fuse``."""
+        requested_tasks = Task.all() if tasks is None else tasks
+        # Duplicates collapse to one execution (results are keyed by task),
+        # keeping the batch's work records consistent with what ran.
+        task_list = list(
+            dict.fromkeys(Task.from_name(t) if isinstance(t, str) else t for t in requested_tasks)
+        )
+        session = session if session is not None else self._session
+        # The session lock is held across the whole batch so concurrent
+        # batches on one session serialize and the drained construction
+        # records are attributed to the batch that actually built them.
+        with session.lock:
+            session.sync_with_corpus()
+            if params.filtered:
+                num_files = session.layout.num_files
+                for file_index in params.file_indices:
+                    if not 0 <= file_index < num_files:
+                        raise ValueError(
+                            f"file index {file_index} out of range (corpus has {num_files} files)"
+                        )
+            selector = TraversalStrategySelector(session.layout) if traversal is None else None
+            decisions: Dict[Task, Optional[StrategyDecision]] = {}
+            strategies: Dict[Task, TraversalStrategy] = {}
+            for task in task_list:
+                decision = selector.select(task) if selector is not None else None
+                strategy = TASK_FAMILIES[task].strategy
+                if strategy is None:
+                    strategy = decision.strategy if decision is not None else traversal
+                decisions[task] = decision
+                strategies[task] = strategy
+            programs = [strategies] if fuse else [{task: strategy} for task, strategy in strategies.items()]
+            results: Dict[Task, GTadocRunResult] = {}
+            for program in programs:
+                record = GpuRunRecord()
+                pool_before = session.memory_pool_bytes
+                outputs, executed = run_program(session, GPUDevice(record=record), program, params)
+                # A program's kernels and pool growth are reported on its first task.
+                for position, task in enumerate(program):
+                    results[task] = GTadocRunResult(
+                        task=task,
+                        output=outputs[task],
+                        strategy=executed[task],
+                        strategy_decision=decisions[task],
+                        init_record=GpuRunRecord(),
+                        traversal_record=record if position == 0 else GpuRunRecord(),
+                        memory_pool_bytes=(
+                            session.memory_pool_bytes - pool_before if position == 0 else 0
+                        ),
                     )
-
-        session.ensure(BASE_INIT)
-        session.ensure(*plan.required_state(strategy, session.config, params))
-
-        marginal = GpuRunRecord()
-        device = GPUDevice(record=marginal)
-        output = plan.traverse(session, device, strategy, params)
-        return task, output, strategy, decision, marginal
+            init_record, shared_record = session.drain_new_records()
+            return GTadocBatchResult(
+                results=results,
+                init_record=init_record,
+                shared_record=shared_record,
+                memory_pool_bytes=session.memory_pool_bytes,
+                scheduler_summary=session.scheduler.summary(),
+            )

@@ -1,45 +1,53 @@
-"""Declarative task plans: required session state + traversal program.
+"""Task programs: the session state a set of tasks needs + one traversal pass.
 
-The seed engine dispatched tasks through an ``if/elif`` ladder and
-threaded unused parameters into every task program.  This module replaces
-that with a registry: each :class:`~repro.analytics.base.Task` maps to a
-:class:`TaskPlan` that declares
+G-TADOC answers every task from a few shared traversal results over one
+rule DAG.  :data:`TASK_FAMILIES` gives each
+:class:`~repro.analytics.base.Task` its result *family* — the primitive
+its answer is read from:
 
-* which :class:`~repro.core.session.DeviceSession` state the traversal
-  needs for a given strategy (``requires``), and
-* the *marginal* traversal program (``traverse``) that consumes the
-  session state and launches only the task-specific kernels.
+* ``corpus``: corpus-wide word counts (word count, sort),
+* ``files``: per-file word counts (inverted index, term vector, ranked
+  inverted index),
+* ``sequence``: sequence counts, from their own head/tail pipeline,
+* ``relational``: relational rows, from parse states built per schema.
 
-Plans are parameterised per query through :class:`QueryParams`: a query
-may override the engine's configured sequence length (the session keeps
-per-length head/tail buffers side by side) and may restrict the task to
-a subset of files, in which case the traversal programs only perform the
+A *program* maps tasks to the traversal strategy each was given.
+:func:`run_program` ensures the session state the program's families
+consume (:func:`required_state`, charged once per session), then runs
+each family's primitive once on the caller's device: the per-file
+counts answer every file-sensitive task and, by host-side aggregation,
+any co-batched corpus-wide task, and the corpus-wide reduce runs only
+when no per-file primitive is needed.  The engine runs one program per
+task for :meth:`~repro.core.engine.GTadoc.run_batch` and one program
+for all tasks for :meth:`~repro.core.engine.GTadoc.run_fused`.  Adding
+a task means giving it a family here — no engine changes.
+
+Programs are parameterised per query through :class:`QueryParams`: a
+query may override the engine's configured sequence length (the session
+keeps per-length head/tail buffers side by side) and may restrict the
+tasks to a subset of files, in which case the traversal does only the
 marginal work for that subset — corpus-wide tasks switch to the per-file
 machinery restricted to the subset, file-sensitive tasks reduce only the
 requested files, and sequence counting restricts both the root segments
 and the per-rule occurrence weights to the subset.
 
-The engine ensures the required state on the session (charging its
-construction once per session), then runs the plan's traversal on a
-per-task device/record.  Adding a new analytics task means registering a
-plan here — no engine changes.
-
 The six classic tasks return id-space results
 (:class:`~repro.analytics.encoded.EncodedResult`): the integer columns
 the bulk kernels produce, which the query's shape cuts and orders before
-anything is decoded.  Relational plans return their row list.
+anything is decoded.  Relational programs return their row list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.analytics.base import Task, TaskResult
 from repro.analytics.encoded import EncodedResult
 from repro.core.session import (
+    BASE_INIT,
     BOTTOMUP_BOUNDS,
     FILE_WEIGHTS,
     LOCAL_TABLES,
@@ -59,18 +67,17 @@ from repro.gpusim.device import GPUDevice
 __all__ = [
     "QueryParams",
     "DEFAULT_PARAMS",
-    "TaskPlan",
-    "PLAN_REGISTRY",
-    "plan_for",
-    "fused_execution_strategies",
-    "fused_required_state",
-    "run_fused_program",
+    "TaskFamily",
+    "TASK_FAMILIES",
+    "execution_strategies",
+    "required_state",
+    "run_program",
 ]
 
 
 @dataclass(frozen=True)
 class QueryParams:
-    """Per-query knobs a plan execution honours.
+    """Per-query knobs a program execution honours.
 
     ``sequence_length`` overrides the engine config for sequence-sensitive
     tasks (``None`` means "use the configured default"); ``file_indices``
@@ -106,37 +113,35 @@ class QueryParams:
 #: The "plain query" every seed entry point implicitly used.
 DEFAULT_PARAMS = QueryParams()
 
-#: What a plan returns: id-space columns, or a relational row list.
+#: What a program returns per task: id-space columns, or a relational row list.
 PlanResult = Union[EncodedResult, TaskResult]
 
-RequiresFn = Callable[[TraversalStrategy, GTadocConfig, QueryParams], Tuple[StateKey, ...]]
-TraverseFn = Callable[[DeviceSession, GPUDevice, TraversalStrategy, QueryParams], PlanResult]
+
+class TaskFamily(NamedTuple):
+    """A task's result family, and the strategy it always runs under (if any)."""
+
+    name: str
+    #: Overrides both the selector and the caller's traversal choice.
+    strategy: Optional[TraversalStrategy] = None
 
 
-@dataclass(frozen=True)
-class TaskPlan:
-    """One task's declarative execution plan."""
-
-    task: Task
-    #: Session state the traversal consumes under a given strategy/config/query.
-    requires: RequiresFn
-    #: Marginal traversal program: session state in, plan result out.
-    traverse: TraverseFn
-    #: Strategy this task always uses, overriding selector and caller
-    #: (sequence count has its own head/tail pipeline).
-    fixed_strategy: Optional[TraversalStrategy] = None
-
-    def required_state(
-        self,
-        strategy: TraversalStrategy,
-        config: GTadocConfig,
-        params: QueryParams = DEFAULT_PARAMS,
-    ) -> Tuple[StateKey, ...]:
-        return self.requires(strategy, config, params)
+TASK_FAMILIES: Dict[Task, TaskFamily] = {
+    Task.WORD_COUNT: TaskFamily("corpus"),
+    Task.SORT: TaskFamily("corpus"),
+    Task.INVERTED_INDEX: TaskFamily("files"),
+    Task.TERM_VECTOR: TaskFamily("files"),
+    # Sequence count has its own head/tail pipeline over a top-down
+    # weight pass.
+    Task.SEQUENCE_COUNT: TaskFamily("sequence", TraversalStrategy.TOP_DOWN),
+    Task.RANKED_INVERTED_INDEX: TaskFamily("files"),
+    # Parse states are built leaves-first over the grammar DAG and
+    # memoized per schema; there is no top-down formulation.
+    Task.RELATIONAL: TaskFamily("relational", TraversalStrategy.BOTTOM_UP),
+}
 
 
 # ----------------------------------------------------------------------------------------
-# Shared helpers
+# Family primitives
 # ----------------------------------------------------------------------------------------
 
 def _corpus_counts(
@@ -199,83 +204,8 @@ def _encoded(
     )
 
 
-# ----------------------------------------------------------------------------------------
-# Corpus-wide counts (word count, sort)
-# ----------------------------------------------------------------------------------------
-
-def _corpus_requires(
-    strategy: TraversalStrategy, config: GTadocConfig, params: QueryParams = DEFAULT_PARAMS
-) -> Tuple[StateKey, ...]:
-    if params.filtered:
-        # Restricted corpus-wide counts go through the per-file machinery.
-        if strategy is TraversalStrategy.TOP_DOWN:
-            return (FILE_WEIGHTS,)
-        return (BOTTOMUP_BOUNDS, LOCAL_TABLES)
-    if strategy is TraversalStrategy.TOP_DOWN:
-        return (RULE_WEIGHTS,)
-    return (BOTTOMUP_BOUNDS, LOCAL_TABLES)
-
-
-def _make_corpus_traverse(task: Task) -> TraverseFn:
-    def traverse(
-        session: DeviceSession,
-        device: GPUDevice,
-        strategy: TraversalStrategy,
-        params: QueryParams = DEFAULT_PARAMS,
-    ) -> EncodedResult:
-        if params.filtered:
-            counts = _sum_over_files(_per_file_counts(session, device, strategy, params))
-        else:
-            counts = _corpus_counts(session, device, strategy)
-        return _encoded(session, task, counts)
-
-    return traverse
-
-
-# ----------------------------------------------------------------------------------------
-# File-sensitive counts (inverted index, term vector, ranked inverted index)
-# ----------------------------------------------------------------------------------------
-
-def _file_requires(
-    strategy: TraversalStrategy, config: GTadocConfig, params: QueryParams = DEFAULT_PARAMS
-) -> Tuple[StateKey, ...]:
-    if strategy is TraversalStrategy.TOP_DOWN:
-        return (FILE_WEIGHTS,)
-    return (BOTTOMUP_BOUNDS, LOCAL_TABLES)
-
-
-def _make_file_traverse(task: Task) -> TraverseFn:
-    def traverse(
-        session: DeviceSession,
-        device: GPUDevice,
-        strategy: TraversalStrategy,
-        params: QueryParams = DEFAULT_PARAMS,
-    ) -> EncodedResult:
-        return _encoded(session, task, _per_file_counts(session, device, strategy, params), params)
-
-    return traverse
-
-
-# ----------------------------------------------------------------------------------------
-# Sequence count
-# ----------------------------------------------------------------------------------------
-
-def _sequence_requires(
-    strategy: TraversalStrategy, config: GTadocConfig, params: QueryParams = DEFAULT_PARAMS
-) -> Tuple[StateKey, ...]:
-    length = params.effective_sequence_length(config)
-    if params.filtered:
-        # Restricted weights (occurrences within the subset) derive from
-        # the per-file weight tables instead of the scalar rule weights.
-        return (sequence_buffers_key(length), FILE_WEIGHTS)
-    return (sequence_buffers_key(length), RULE_WEIGHTS)
-
-
-def _sequence_traverse(
-    session: DeviceSession,
-    device: GPUDevice,
-    strategy: TraversalStrategy,
-    params: QueryParams = DEFAULT_PARAMS,
+def _sequence_counts(
+    session: DeviceSession, device: GPUDevice, params: QueryParams
 ) -> EncodedResult:
     length = params.effective_sequence_length(session.config)
     buffers = session.state(sequence_buffers_key(length))
@@ -301,10 +231,6 @@ def _sequence_traverse(
     return _encoded(session, Task.SEQUENCE_COUNT, counts)
 
 
-# ----------------------------------------------------------------------------------------
-# Relational analytics (filter / group-by / aggregate on the grammar)
-# ----------------------------------------------------------------------------------------
-
 def _relational_spec(params: QueryParams) -> RelationalQuery:
     if params.relational is None:
         raise ValueError(
@@ -314,19 +240,7 @@ def _relational_spec(params: QueryParams) -> RelationalQuery:
     return params.relational
 
 
-def _relational_requires(
-    strategy: TraversalStrategy, config: GTadocConfig, params: QueryParams = DEFAULT_PARAMS
-) -> Tuple[StateKey, ...]:
-    schema = _relational_spec(params).schema
-    return (relational_tables_key(schema), relational_rows_key(schema))
-
-
-def _relational_traverse(
-    session: DeviceSession,
-    device: GPUDevice,
-    strategy: TraversalStrategy,
-    params: QueryParams = DEFAULT_PARAMS,
-) -> TaskResult:
+def _relational_rows(session: DeviceSession, device: GPUDevice, params: QueryParams) -> TaskResult:
     spec = _relational_spec(params)
     rows = session.state(relational_rows_key(spec.schema))
     return vectorized.relational_filter_aggregate_vec(
@@ -335,30 +249,63 @@ def _relational_traverse(
 
 
 # ----------------------------------------------------------------------------------------
-# Cross-query fusion (serving micro-batches)
+# Programs
 # ----------------------------------------------------------------------------------------
 
-#: Tasks answered from corpus-wide word counts.
-_CORPUS_TASKS = (Task.WORD_COUNT, Task.SORT)
-#: Tasks answered from per-file word counts.
-_FILE_TASKS = (Task.INVERTED_INDEX, Task.TERM_VECTOR, Task.RANKED_INVERTED_INDEX)
+class _Program(NamedTuple):
+    """A program's tasks split by family, and the strategy each task executes under."""
+
+    corpus: List[Task]
+    files: List[Task]
+    sequence: bool
+    relational: bool
+    executed: Dict[Task, TraversalStrategy]
 
 
-def _fused_families(
-    tasks: List[Task],
-) -> Tuple[List[Task], List[Task], List[Task], List[Task]]:
-    """Split ``tasks`` into (corpus, file, sequence, relational) families."""
-    corpus = [task for task in tasks if task in _CORPUS_TASKS]
-    files = [task for task in tasks if task in _FILE_TASKS]
-    sequences = [task for task in tasks if task is Task.SEQUENCE_COUNT]
-    relational = [task for task in tasks if task is Task.RELATIONAL]
-    return corpus, files, sequences, relational
+def _program(strategies: Dict[Task, TraversalStrategy]) -> _Program:
+    families: Dict[str, List[Task]] = {"corpus": [], "files": [], "sequence": [], "relational": []}
+    for task in strategies:
+        families[TASK_FAMILIES[task].name].append(task)
+    corpus, files = families["corpus"], families["files"]
+    executed = dict(strategies)
+    # A family's primitive runs once, under its first task's strategy.
+    # Corpus tasks co-batched with file tasks are derived from the
+    # per-file primitive, so they adopt its strategy.
+    lead = files or corpus
+    if lead:
+        for task in files + corpus:
+            executed[task] = strategies[lead[0]]
+    return _Program(corpus, files, bool(families["sequence"]), bool(families["relational"]), executed)
 
 
-def fused_execution_strategies(
+def _required_state(
+    program: _Program, config: GTadocConfig, params: QueryParams
+) -> Tuple[StateKey, ...]:
+    keys: List[StateKey] = []
+    lead = program.files or program.corpus
+    if lead:
+        if program.executed[lead[0]] is TraversalStrategy.TOP_DOWN:
+            # Restricted corpus-wide counts go through the per-file machinery.
+            keys.append(FILE_WEIGHTS if program.files or params.filtered else RULE_WEIGHTS)
+        else:
+            keys += [BOTTOMUP_BOUNDS, LOCAL_TABLES]
+    if program.sequence:
+        keys.append(sequence_buffers_key(params.effective_sequence_length(config)))
+        # Restricted weights (occurrences within the subset) derive from
+        # the per-file weight tables instead of the scalar rule weights.
+        weights = FILE_WEIGHTS if params.filtered else RULE_WEIGHTS
+        if weights not in keys:
+            keys.append(weights)
+    if program.relational:
+        schema = _relational_spec(params).schema
+        keys += [relational_tables_key(schema), relational_rows_key(schema)]
+    return tuple(keys)
+
+
+def execution_strategies(
     strategies: Dict[Task, TraversalStrategy],
 ) -> Dict[Task, TraversalStrategy]:
-    """The strategy each task actually *executes* under in a fused pass.
+    """The strategy each task of a program actually *executes* under.
 
     A family's primitive runs once, under the strategy of the family's
     first task, and every task served from that primitive reports the
@@ -367,77 +314,50 @@ def fused_execution_strategies(
     file-sensitive tasks are derived from the per-file primitive, so
     they adopt the file family's strategy.
     """
-    corpus, files, _sequences, _relational = _fused_families(list(strategies))
-    executed = dict(strategies)
-    if files:
-        lead = strategies[files[0]]
-        for task in files + corpus:
-            executed[task] = lead
-    elif corpus:
-        lead = strategies[corpus[0]]
-        for task in corpus:
-            executed[task] = lead
-    return executed
+    return _program(strategies).executed
 
 
-def fused_required_state(
+def required_state(
     strategies: Dict[Task, TraversalStrategy],
     config: GTadocConfig,
     params: QueryParams = DEFAULT_PARAMS,
 ) -> Tuple[StateKey, ...]:
-    """Session state one fused pass over ``strategies`` consumes.
+    """Session state one program over ``strategies`` consumes.
 
     Only the primitives that actually run are required — e.g. a corpus
     task derived from a co-batched per-file primitive never pulls in
     the scalar rule weights.
     """
-    corpus, files, sequences, relational = _fused_families(list(strategies))
-    executed = fused_execution_strategies(strategies)
-    keys: List[StateKey] = []
-
-    def extend(new_keys: Tuple[StateKey, ...]) -> None:
-        for key in new_keys:
-            if key not in keys:
-                keys.append(key)
-
-    if files:
-        extend(_file_requires(executed[files[0]], config, params))
-    elif corpus:
-        extend(_corpus_requires(executed[corpus[0]], config, params))
-    if sequences:
-        extend(_sequence_requires(TraversalStrategy.TOP_DOWN, config, params))
-    if relational:
-        extend(_relational_requires(TraversalStrategy.BOTTOM_UP, config, params))
-    return tuple(keys)
+    return _required_state(_program(strategies), config, params)
 
 
-def run_fused_program(
+def run_program(
     session: DeviceSession,
     device: GPUDevice,
     strategies: Dict[Task, TraversalStrategy],
     params: QueryParams = DEFAULT_PARAMS,
-) -> Dict[Task, PlanResult]:
+) -> Tuple[Dict[Task, PlanResult], Dict[Task, TraversalStrategy]]:
     """Serve every task in ``strategies`` from one shared traversal pass.
 
-    Each result family's primitive runs exactly once on ``device``: the
-    per-file counts feed all file-sensitive tasks *and* (by host-side
-    aggregation) any co-batched corpus-wide tasks, the corpus-wide
-    reduce runs only when no per-file primitive is needed, and sequence
-    counting keeps its own head/tail pipeline.  Results are identical
-    to per-task execution; the caller attributes the fused record.
+    Ensures the Figure-3 initialization and the program's
+    :func:`required_state` on ``session`` (their construction is
+    recorded on the session), then runs each family's primitive exactly
+    once on ``device``.  Returns each task's result and the strategy it
+    executed under (:func:`execution_strategies`); the caller
+    attributes ``device``'s record.
     """
-    executed = fused_execution_strategies(strategies)
-    corpus_tasks, file_tasks, sequence_tasks, relational_tasks = _fused_families(
-        list(strategies)
-    )
+    program = _program(strategies)
+    session.ensure(BASE_INIT)
+    session.ensure(*_required_state(program, session.config, params))
+    executed = program.executed
     results: Dict[Task, PlanResult] = {}
 
     per_file: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-    if file_tasks or (corpus_tasks and params.filtered):
-        lead = file_tasks[0] if file_tasks else corpus_tasks[0]
+    if program.files or (program.corpus and params.filtered):
+        lead = (program.files or program.corpus)[0]
         per_file = _per_file_counts(session, device, executed[lead], params)
 
-    if corpus_tasks:
+    if program.corpus:
         if per_file is not None:
             counts = _sum_over_files(per_file)
             if not params.filtered:
@@ -448,73 +368,16 @@ def run_fused_program(
                     memory_bytes=8.0 * session.layout.num_files,
                 )
         else:
-            counts = _corpus_counts(session, device, executed[corpus_tasks[0]])
-        for task in corpus_tasks:
+            counts = _corpus_counts(session, device, executed[program.corpus[0]])
+        for task in program.corpus:
             results[task] = _encoded(session, task, counts)
 
-    for task in file_tasks:
+    for task in program.files:
         results[task] = _encoded(session, task, per_file, params)
 
-    if sequence_tasks:
-        results[Task.SEQUENCE_COUNT] = _sequence_traverse(
-            session, device, TraversalStrategy.TOP_DOWN, params
-        )
+    if program.sequence:
+        results[Task.SEQUENCE_COUNT] = _sequence_counts(session, device, params)
 
-    if relational_tasks:
-        results[Task.RELATIONAL] = _relational_traverse(
-            session, device, TraversalStrategy.BOTTOM_UP, params
-        )
-    return results
-
-
-PLAN_REGISTRY: Dict[Task, TaskPlan] = {
-    Task.WORD_COUNT: TaskPlan(
-        task=Task.WORD_COUNT,
-        requires=_corpus_requires,
-        traverse=_make_corpus_traverse(Task.WORD_COUNT),
-    ),
-    Task.SORT: TaskPlan(
-        task=Task.SORT,
-        requires=_corpus_requires,
-        traverse=_make_corpus_traverse(Task.SORT),
-    ),
-    Task.INVERTED_INDEX: TaskPlan(
-        task=Task.INVERTED_INDEX,
-        requires=_file_requires,
-        traverse=_make_file_traverse(Task.INVERTED_INDEX),
-    ),
-    Task.TERM_VECTOR: TaskPlan(
-        task=Task.TERM_VECTOR,
-        requires=_file_requires,
-        traverse=_make_file_traverse(Task.TERM_VECTOR),
-    ),
-    Task.SEQUENCE_COUNT: TaskPlan(
-        task=Task.SEQUENCE_COUNT,
-        requires=_sequence_requires,
-        traverse=_sequence_traverse,
-        fixed_strategy=TraversalStrategy.TOP_DOWN,
-    ),
-    Task.RANKED_INVERTED_INDEX: TaskPlan(
-        task=Task.RANKED_INVERTED_INDEX,
-        requires=_file_requires,
-        traverse=_make_file_traverse(Task.RANKED_INVERTED_INDEX),
-    ),
-    Task.RELATIONAL: TaskPlan(
-        task=Task.RELATIONAL,
-        requires=_relational_requires,
-        traverse=_relational_traverse,
-        # Parse states are built leaves-first over the grammar DAG and
-        # memoized per schema; there is no top-down formulation.
-        fixed_strategy=TraversalStrategy.BOTTOM_UP,
-    ),
-}
-
-
-def plan_for(task: Task) -> TaskPlan:
-    """The registered plan for ``task`` (raises on unknown tasks)."""
-    if isinstance(task, str):
-        task = Task.from_name(task)
-    try:
-        return PLAN_REGISTRY[task]
-    except KeyError:
-        raise KeyError(f"no task plan registered for {task!r}") from None
+    if program.relational:
+        results[Task.RELATIONAL] = _relational_rows(session, device, params)
+    return results, executed

@@ -149,6 +149,7 @@ class FlattenedLayout:
         self.rw_off = _offsets(self.rw_count)
         self.rw_keys = _flat_ints([list(t.keys()) for t in layout.root_words_per_file])
         self.rw_vals = _flat_ints([list(t.values()) for t in layout.root_words_per_file])
+        self.rw_file = np.repeat(np.arange(self.num_files, dtype=_I64), self.rw_count)
 
         self.rc_count = np.asarray(
             [len(t) for t in layout.root_subrule_freq_per_file], dtype=_I64
@@ -554,40 +555,47 @@ def topdown_word_count_reduce(
     return out_keys, out_vals
 
 
-def _file_column_counts(
-    flat: FlattenedLayout, matrix: np.ndarray, file_index: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One file's ``(word ids, counts)``: scaled rule tables + the root's own words."""
-    col = matrix[:, file_index]
-    rules = np.flatnonzero(col).astype(_I64)
+def _merge_file_words(
+    files: np.ndarray, words: np.ndarray, counts: np.ndarray, vocabulary_size: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sum ``counts`` per ``(file, word id)`` in one global merge.
+
+    Word ids are always < ``vocabulary_size``, so ``(file, word)`` packs
+    into a single int64 and the sorted unique keys are the ``(file, word
+    id)`` row order.  Returns ``(file indices, word ids, sums, inverse)``,
+    where ``inverse`` maps each input entry to its row.
+    """
+    vocab = max(1, int(vocabulary_size))
+    uniq, inverse = np.unique(files * vocab + words, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    sums = np.bincount(inverse, weights=counts, minlength=len(uniq)).astype(_I64)
+    uniq_files = uniq // vocab
+    return uniq_files, uniq - uniq_files * vocab, sums, inverse
+
+
+def _file_rows(
+    flat: FlattenedLayout, columns: np.ndarray, file_indices: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(file indices, word ids, counts)`` of ``file_indices`` (ascending).
+
+    ``columns`` holds those files' weight columns: every nonzero ``(rule,
+    file)`` weight scales the rule's local words, and each file adds its
+    root's own words.
+    """
+    rules, at = np.nonzero(columns)
     owner, keys, vals = flat.gather_local_words(
         rules, np.zeros(len(rules), dtype=_I64), flat.lw_count[rules]
     )
-    vals = vals * col[rules][owner]
-    lo, hi = int(flat.rw_off[file_index]), int(flat.rw_off[file_index + 1])
-    if hi > lo:
-        keys = np.concatenate([keys, flat.rw_keys[lo:hi]])
-        vals = np.concatenate([vals, flat.rw_vals[lo:hi]])
-    uniq, inv = np.unique(keys, return_inverse=True)
-    sums = np.zeros(len(uniq), dtype=_I64)
-    np.add.at(sums, inv, vals)
-    return uniq, sums
-
-
-def _stack_file_columns(
-    flat: FlattenedLayout, matrix: np.ndarray, file_indices: Sequence[int]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(file indices, word ids, counts)`` of ``file_indices``, in that order."""
-    columns = [_file_column_counts(flat, matrix, file_index) for file_index in file_indices]
-    sizes = [len(words) for words, _counts in columns]
-    files = np.repeat(np.asarray(file_indices, dtype=_I64), sizes)
-    if not columns:
-        return files, np.zeros(0, dtype=_I64), np.zeros(0, dtype=_I64)
-    return (
-        files,
-        np.concatenate([words for words, _counts in columns]),
-        np.concatenate([counts for _words, counts in columns]),
+    wanted = np.zeros(flat.num_files, dtype=bool)
+    wanted[file_indices] = True
+    root = wanted[flat.rw_file]
+    files, words, counts, _inverse = _merge_file_words(
+        np.concatenate([file_indices[at][owner], flat.rw_file[root]]),
+        np.concatenate([keys, flat.rw_keys[root]]),
+        np.concatenate([vals * columns[rules, at][owner], flat.rw_vals[root]]),
+        flat.vocabulary_size,
     )
+    return files, words, counts
 
 
 def topdown_per_file_counts_vec(
@@ -642,7 +650,7 @@ def topdown_per_file_counts_vec(
             thread_memory_bytes=mem,
             thread_atomic_ops=atomics,
         )
-        return _stack_file_columns(flat, matrix, allowed_order)
+        return _file_rows(flat, sub, allowed_cols)
 
     rule_ids = list(range(1, n)) if n > 1 else []
     assignments = flat.assignments(scheduler, "file") if rule_ids else []
@@ -669,7 +677,7 @@ def topdown_per_file_counts_vec(
     device.launch_bulk(
         "rootWordsKernel", num_threads, thread_ops=ops, thread_memory_bytes=mem
     )
-    return _stack_file_columns(flat, matrix, range(flat.num_files))
+    return _file_rows(flat, matrix, np.arange(flat.num_files, dtype=_I64))
 
 
 # ----------------------------------------------------------------------------------------
@@ -971,7 +979,6 @@ def bottomup_per_file_counts_reduce(
     num_threads = max(1, len(files))
     ops = np.zeros(num_threads, dtype=_F64)
     mem = np.zeros(num_threads, dtype=_F64)
-    vocab = max(1, int(flat.vocabulary_size))
     key_parts: List[np.ndarray] = []
     val_parts: List[np.ndarray] = []
     owner_parts: List[np.ndarray] = []
@@ -1002,18 +1009,10 @@ def bottomup_per_file_counts_reduce(
                 val_parts.append(val_arrays[child] * freq)
                 owner_parts.append(np.full(len(child_keys), file_index, dtype=_I64))
     if key_parts:
-        # One global merge instead of one per file: word ids are always
-        # < vocabulary_size, so (file, word) packs into a single int64
-        # and the sorted unique keys are the (file, word id) row order.
-        keys = np.concatenate(key_parts)
         vals = np.concatenate(val_parts)
-        owners = np.concatenate(owner_parts)
-        combined = owners * vocab + keys
-        uniq, inv = np.unique(combined, return_inverse=True)
-        inv = inv.reshape(-1)
-        sums = np.bincount(inv, weights=vals, minlength=len(uniq)).astype(_I64)
-        uniq_files = uniq // vocab
-        uniq_words = uniq - uniq_files * vocab
+        uniq_files, uniq_words, sums, inv = _merge_file_words(
+            np.concatenate(owner_parts), np.concatenate(key_parts), vals, flat.vocabulary_size
+        )
         if targets is None:
             flat.file_reduce_geom = (
                 local_tables,

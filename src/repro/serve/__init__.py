@@ -3,7 +3,7 @@
 Two front ends share one implementation core
 (:class:`~repro.serve.service.ServingCore` — session LRU keyed by
 corpus fingerprint plus engine config, coalescing of compatible
-in-flight queries into ``run_batch`` micro-batches, a ``Query``-keyed
+in-flight queries into ``run_fused`` micro-batches, a ``Query``-keyed
 result cache with an optional byte budget, and epoch-guarded fingerprint
 invalidation):
 

@@ -13,7 +13,7 @@ queries from one event loop instead:
   moment it leads, and every compatible request that queues while that
   batch executes rides in the next one — with a whole burst in flight,
   those batches run close to full;
-* micro-batches dispatch engine ``run_batch`` calls through a bounded
+* micro-batches dispatch engine ``run_fused`` calls through a bounded
   :class:`~concurrent.futures.ThreadPoolExecutor`, so the event loop
   never blocks on simulated kernels and independent sessions still
   execute concurrently.

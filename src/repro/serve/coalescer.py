@@ -3,7 +3,7 @@
 Concurrent queries that can execute against the same device-session
 state (same corpus, engine config, sequence length, file subset and
 traversal override) should not each pay a separate engine round trip:
-one ``run_batch`` serves them all, charging shared initialization and
+one ``run_fused`` serves them all, charging shared initialization and
 traversal-state construction once.  This module implements the
 batching discipline:
 

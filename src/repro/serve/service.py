@@ -15,8 +15,10 @@ shells over one :class:`ServingCore`:
   least-recently-used first;
 * query coalescing — concurrent queries compatible on required session
   state (same corpus/config/sequence length/file subset/traversal) are
-  grouped into one ``run_batch`` micro-batch, charging initialization
-  and shared traversal-state construction once for the whole group;
+  grouped into one micro-batch that runs as one fused ``run_fused``
+  program, charging initialization, shared traversal-state
+  construction and each result family's primitive once for the whole
+  group;
 * a :class:`~repro.api.query.Query`-keyed result cache in front of the
   engines — entry-count bounded and optionally byte-budgeted
   (:class:`ServiceConfig`), with hit/miss/eviction/expiration
@@ -528,13 +530,11 @@ class ServingCore:
         lead = batch[0].query
         indices = _file_indices_for(entry.compressed.file_names, lead.files)
         tasks = list(dict.fromkeys(slot.query.task for slot in batch))
-        # A batch mixing distinct tasks compiles into one fused traversal
-        # pass (family primitives run once, so launches/query drops below
-        # the plain coalescing floor); uniform batches already collapse to
-        # a single execution inside run_batch.
+        # The batch runs as one program: a batch mixing distinct tasks
+        # runs each family primitive once, so launches/query drops below
+        # the plain coalescing floor; a uniform batch is one task.
         fused = len(tasks) > 1
-        runner = entry.engine.run_fused if fused else entry.engine.run_batch
-        result_batch = runner(
+        result_batch = entry.engine.run_fused(
             tasks,
             traversal=lead.traversal,
             sequence_length=lead.sequence_length,

@@ -128,8 +128,8 @@ class TestGoldenBadExamples:
             "repro/core/plans.py": """
                 from repro.analytics.base import Task
 
-                PLAN_REGISTRY = {
-                    Task.WORD_COUNT: "plan",
+                TASK_FAMILIES = {
+                    Task.WORD_COUNT: "corpus",
                 }
             """,
         })

@@ -723,8 +723,9 @@ class TestMicroBatchFusion:
         assert all(outcome.details["fused"] for outcome in outcomes)
 
     def test_uniform_batches_do_not_fuse(self, tiny_compressed):
-        # A single-task batch already collapses to one execution inside
-        # run_batch; there is nothing to fuse across.
+        # A single-task batch still runs through run_fused, as a
+        # one-task program; with one family primitive there is nothing
+        # to fuse across, so the batch does not report fusion.
         mix = [Query(task=Task.SORT, top_k=k) for k in (2, 3)]
         outcomes = self._service(tiny_compressed).run_batch(mix)
         assert all(not outcome.details["fused"] for outcome in outcomes)

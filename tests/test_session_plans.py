@@ -2,7 +2,7 @@
 
 Covers the batch execution path (``GTadoc.run_batch`` / ``run_all``),
 the :class:`DeviceSession` state cache with config invalidation, the
-task-plan registry, and the amortization regression: a batch must charge
+task family table, and the amortization regression: a batch must charge
 the Figure-3 initialization phase exactly once and launch strictly fewer
 kernels than the equivalent sequence of fresh single-task runs.
 """
@@ -14,7 +14,7 @@ import pytest
 from repro.analytics.base import Task
 from repro.analytics.reference import UncompressedAnalytics
 from repro.core.engine import GTadoc, GTadocBatchResult, GTadocConfig
-from repro.core.plans import PLAN_REGISTRY, plan_for
+from repro.core.plans import TASK_FAMILIES, execution_strategies, required_state
 from repro.core.session import (
     BASE_INIT,
     BOTTOMUP_BOUNDS,
@@ -264,37 +264,62 @@ class TestMemoryPool:
         )
         assert outcome.memory_pool_bytes > 0
 
+    @pytest.mark.parametrize("traversal", list(TraversalStrategy))
+    @pytest.mark.parametrize("task", Task.all())
+    def test_one_task_fused_and_batched_report_equal_pool_bytes(
+        self, few_files_compressed, task, traversal
+    ):
+        # Both entry points report the pool growth from just before the
+        # task's program ensured its state.
+        engine = GTadoc(few_files_compressed)
+        batched = engine.run_batch([task], traversal=traversal, session=engine.session.fresh())
+        fused = engine.run_fused([task], traversal=traversal, session=engine.session.fresh())
+        assert fused[task].memory_pool_bytes == batched[task].memory_pool_bytes
+
 
 class TestPlanRegistry:
+    """Each task's plan is its row of the family table, run by the one executor."""
+
     def test_every_task_has_a_plan(self):
-        # Every task — the classic six plus relational — has a plan;
+        # Every task — the classic six plus relational — has a family;
         # ``Task.all()`` names only the spec-free classic tasks.
-        assert set(PLAN_REGISTRY) == set(Task)
+        assert set(TASK_FAMILIES) == set(Task)
         assert set(Task.all()) == set(Task) - {Task.RELATIONAL}
 
-    def test_plan_for_accepts_strings(self):
-        assert plan_for("word_count") is PLAN_REGISTRY[Task.WORD_COUNT]
-
-    def test_unknown_task_rejected(self):
+    def test_unknown_task_rejected(self, tiny_compressed):
         with pytest.raises(ValueError):
-            plan_for("not_a_task")
+            GTadoc(tiny_compressed).run_batch(["not_a_task"])
 
     def test_corpus_plan_state_requirements(self):
-        plan = plan_for(Task.WORD_COUNT)
         config = GTadocConfig()
-        assert plan.required_state(TraversalStrategy.TOP_DOWN, config) == (RULE_WEIGHTS,)
-        assert plan.required_state(TraversalStrategy.BOTTOM_UP, config) == (
+        assert required_state({Task.WORD_COUNT: TraversalStrategy.TOP_DOWN}, config) == (
+            RULE_WEIGHTS,
+        )
+        assert required_state({Task.WORD_COUNT: TraversalStrategy.BOTTOM_UP}, config) == (
             BOTTOMUP_BOUNDS,
             LOCAL_TABLES,
         )
 
     def test_file_plan_state_requirements(self):
-        plan = plan_for(Task.TERM_VECTOR)
-        config = GTadocConfig()
-        assert plan.required_state(TraversalStrategy.TOP_DOWN, config) == (FILE_WEIGHTS,)
+        assert required_state({Task.TERM_VECTOR: TraversalStrategy.TOP_DOWN}, GTadocConfig()) == (
+            FILE_WEIGHTS,
+        )
+
+    def test_co_batched_corpus_tasks_read_the_per_file_primitive(self):
+        program = {
+            Task.WORD_COUNT: TraversalStrategy.BOTTOM_UP,
+            Task.TERM_VECTOR: TraversalStrategy.TOP_DOWN,
+        }
+        assert execution_strategies(program) == {
+            Task.WORD_COUNT: TraversalStrategy.TOP_DOWN,
+            Task.TERM_VECTOR: TraversalStrategy.TOP_DOWN,
+        }
+        # The corpus task pulls in neither the rule weights nor local tables.
+        assert required_state(program, GTadocConfig()) == (FILE_WEIGHTS,)
 
     def test_sequence_plan_fixed_strategy_and_state(self):
-        plan = plan_for(Task.SEQUENCE_COUNT)
-        assert plan.fixed_strategy is TraversalStrategy.TOP_DOWN
+        assert TASK_FAMILIES[Task.SEQUENCE_COUNT].strategy is TraversalStrategy.TOP_DOWN
         config = GTadocConfig(sequence_length=4)
-        assert sequence_buffers_key(4) in plan.required_state(TraversalStrategy.TOP_DOWN, config)
+        assert sequence_buffers_key(4) in required_state(
+            {Task.SEQUENCE_COUNT: TraversalStrategy.TOP_DOWN}, config
+        )
