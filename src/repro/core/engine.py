@@ -115,8 +115,11 @@ class GTadocBatchResult(Mapping):
     reported here, once per batch: ``init_record`` holds the Figure-3
     initialization work, ``shared_record`` the shared traversal-state
     construction (local tables, rule/file weights),
-    ``memory_pool_bytes`` the session's cumulative pool usage, and
-    ``scheduler_summary`` the shared fine-grained scheduler's summary.
+    ``memory_pool_bytes`` the session's cumulative pool usage,
+    ``scheduler_summary`` the shared fine-grained scheduler's summary,
+    and ``sync`` what catching the session up with its corpus did first
+    (:meth:`~repro.core.session.DeviceSession.sync_with_corpus`:
+    ``"none"``, ``"delta"`` or ``"rebuild"``).
     """
 
     results: Dict[Task, GTadocRunResult]
@@ -124,6 +127,7 @@ class GTadocBatchResult(Mapping):
     shared_record: GpuRunRecord
     memory_pool_bytes: int
     scheduler_summary: Dict[str, float] = field(default_factory=dict)
+    sync: str = "none"
 
     # -- mapping interface ----------------------------------------------------------------
     def __getitem__(self, task: Union[Task, str]) -> GTadocRunResult:
@@ -334,7 +338,7 @@ class GTadoc:
         # batches on one session serialize and the drained construction
         # records are attributed to the batch that actually built them.
         with session.lock:
-            session.sync_with_corpus()
+            sync = session.sync_with_corpus()
             if params.filtered:
                 num_files = session.layout.num_files
                 for file_index in params.file_indices:
@@ -378,4 +382,5 @@ class GTadoc:
                 shared_record=shared_record,
                 memory_pool_bytes=session.memory_pool_bytes,
                 scheduler_summary=session.scheduler.summary(),
+                sync=sync,
             )

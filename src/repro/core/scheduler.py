@@ -68,7 +68,8 @@ class FineGrainedScheduler:
         self._group_sizes: List[int] = []
 
     # -- group sizing -------------------------------------------------------------------
-    def _sizes(self) -> List[int]:
+    def group_sizes(self) -> List[int]:
+        """Threads allocated to each rule, indexed by rule id."""
         if not self._group_sizes:
             limit = self.oversize_threshold * max(1.0, self.layout.average_rule_length)
             sizes = []
@@ -82,7 +83,7 @@ class FineGrainedScheduler:
 
     def group_size_for(self, rule_id: int) -> int:
         """Number of threads allocated to ``rule_id``."""
-        return self._sizes()[rule_id]
+        return self.group_sizes()[rule_id]
 
     def thread_assignments(self, rule_ids: Sequence[int]) -> List[ThreadAssignment]:
         """Build the flat thread -> (rule, slice) mapping for a kernel launch."""
@@ -152,7 +153,7 @@ class FineGrainedScheduler:
 
     def summary(self) -> Dict[str, float]:
         """Scheduling statistics (used by reports and tests)."""
-        groups = self._sizes()[: self.layout.num_rules]
+        groups = self.group_sizes()[: self.layout.num_rules]
         return {
             "rules": float(self.layout.num_rules),
             "threads": float(sum(groups)),

@@ -58,7 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.layout import DeviceRuleLayout
-from repro.core.scheduler import FineGrainedScheduler, ThreadAssignment
+from repro.core.scheduler import FineGrainedScheduler
 from repro.gpusim.device import GPUDevice
 from repro.perf import workcosts as wc
 
@@ -82,6 +82,10 @@ __all__ = [
 
 _I64 = np.int64
 _F64 = np.float64
+
+#: A kernel's thread partition: ``(rules, starts, ends)``, one entry per
+#: simulated thread, each thread scanning items ``[start, end)`` of its rule.
+Partition = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: Knuth multiplicative constant, as in :class:`DeviceHashTable`.
 _HASH_MULT = 2654435761
@@ -171,26 +175,44 @@ class FlattenedLayout:
         self.level2_child = np.flatnonzero(self.root_freq).astype(_I64)
         self.level2_freq = self.root_freq[self.level2_child]
 
-        self._assignments: Dict[Tuple, List[ThreadAssignment]] = {}
+        self._group_sizes: Dict[Tuple, np.ndarray] = {}
+        self._assignments: Dict[Tuple, Partition] = {}
 
     # -- scheduling ------------------------------------------------------------------
-    def assignments(self, scheduler: FineGrainedScheduler, tag: str) -> List[ThreadAssignment]:
-        """Cached thread assignments for the three unfiltered reduce shapes."""
+    def partition(
+        self, scheduler: FineGrainedScheduler, rule_ids: np.ndarray, items: np.ndarray
+    ) -> Partition:
+        """Bulk port of :meth:`FineGrainedScheduler.partition_items`.
+
+        Returns ``(rules, starts, ends)``: one entry per simulated thread,
+        in the reference's thread order.  A rule with more than one item
+        splits them evenly over ``min(group size, items)`` threads, the
+        first ``items % threads`` of which take one extra item.
+        """
+        key = (scheduler.oversize_threshold, scheduler.max_group_size)
+        sizes = self._group_sizes.get(key)
+        if sizes is None:
+            sizes = np.asarray(scheduler.group_sizes(), dtype=_I64)
+            self._group_sizes[key] = sizes
+        group = np.where(items > 1, np.minimum(sizes[rule_ids], items), 1)
+        lane = np.arange(int(group.sum()), dtype=_I64) - np.repeat(_offsets(group)[:-1], group)
+        base, extra = np.divmod(np.repeat(items, group), np.repeat(group, group))
+        starts = lane * base + np.minimum(lane, extra)
+        return np.repeat(rule_ids, group), starts, starts + base + (lane < extra)
+
+    def assignments(self, scheduler: FineGrainedScheduler, tag: str) -> Partition:
+        """Cached thread partitions for the three unfiltered reduce shapes."""
         key = (tag, scheduler.oversize_threshold, scheduler.max_group_size)
         cached = self._assignments.get(key)
         if cached is None:
-            if tag == "corpus":
-                rule_ids = list(range(self.num_rules))
-                items = [int(c) for c in self.lw_count]
-            elif tag == "file":
-                rule_ids = list(range(1, self.num_rules)) if self.num_rules > 1 else []
-                items = [int(c) for c in self.lw_count[1:]]
+            rule_ids = np.arange(0 if tag == "corpus" else 1, self.num_rules, dtype=_I64)
+            if tag in ("corpus", "file"):
+                items = self.lw_count[rule_ids]
             elif tag == "sequence":
-                rule_ids = list(range(1, self.num_rules))
-                items = [int(length) for length in self.rule_lengths[1:]]
+                items = self.rule_lengths[rule_ids]
             else:  # pragma: no cover - internal misuse
                 raise ValueError(f"unknown assignment tag: {tag!r}")
-            cached = scheduler.partition_items(rule_ids, items) if rule_ids else []
+            cached = self.partition(scheduler, rule_ids, items)
             self._assignments[key] = cached
         return cached
 
@@ -224,15 +246,6 @@ def flattened(layout: DeviceRuleLayout) -> FlattenedLayout:
         cache = FlattenedLayout(layout)
         layout._vectorized_flat = cache  # type: ignore[attr-defined]
     return cache
-
-
-def _assignment_arrays(
-    assignments: Sequence[ThreadAssignment],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rules = np.asarray([a.rule_id for a in assignments], dtype=_I64)
-    starts = np.asarray([a.start for a in assignments], dtype=_I64)
-    ends = np.asarray([a.end for a in assignments], dtype=_I64)
-    return rules, starts, ends
 
 
 # ----------------------------------------------------------------------------------------
@@ -516,9 +529,8 @@ def topdown_word_count_reduce(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Bulk port of the top-down ``reduceResultKernel``: ``(word ids, counts)``."""
     flat = flattened(layout)
-    assignments = flat.assignments(scheduler, "corpus")
-    num_threads = max(1, len(assignments))
-    rules, starts, ends = _assignment_arrays(assignments)
+    rules, starts, ends = flat.assignments(scheduler, "corpus")
+    num_threads = max(1, len(rules))
     weights_arr = np.asarray(weights, dtype=_I64)
     thread_weight = weights_arr[rules]
 
@@ -539,8 +551,8 @@ def topdown_word_count_reduce(
     )
     ops = np.full(num_threads, wc.MASK_CHECK_OPS, dtype=_F64)
     mem = np.full(num_threads, 8.0, dtype=_F64)
-    ops[len(assignments):] = 0.0
-    mem[len(assignments):] = 0.0
+    ops[len(rules):] = 0.0
+    mem[len(rules):] = 0.0
     ops += _thread_sums(owner, wc.SYMBOL_VISIT_OPS + hash_ops, num_threads)
     mem += _thread_sums(owner, wc.SYMBOL_VISIT_BYTES + hash_mem, num_threads)
     atomics = _thread_sums(owner, np.ones(len(owner), dtype=_F64), num_threads)
@@ -613,7 +625,6 @@ def topdown_per_file_counts_vec(
     counts)`` sorted by ``(file, word id)``.
     """
     flat = flattened(layout)
-    n = flat.num_rules
     matrix = _dense_file_weights(flat, file_weights)
 
     if file_indices is not None:
@@ -621,18 +632,16 @@ def topdown_per_file_counts_vec(
         allowed_cols = np.asarray(allowed_order, dtype=_I64)
         sub = matrix[:, allowed_cols] if len(allowed_cols) else matrix[:, :0]
         sub_nnz = np.count_nonzero(sub, axis=1).astype(_I64)
-        rule_ids = (np.flatnonzero(sub_nnz[1:]) + 1).tolist() if n > 1 else []
-        items = [int(flat.lw_count[r]) for r in rule_ids]
-        assignments = scheduler.partition_items(rule_ids, items) if rule_ids else []
-        num_threads = max(1, len(assignments) + len(allowed_order))
+        rule_ids = np.flatnonzero(sub_nnz[1:]).astype(_I64) + 1
+        rules, starts, ends = flat.partition(scheduler, rule_ids, flat.lw_count[rule_ids])
+        num_threads = max(1, len(rules) + len(allowed_order))
         ops = np.zeros(num_threads, dtype=_F64)
         mem = np.zeros(num_threads, dtype=_F64)
         atomics = np.zeros(num_threads, dtype=_F64)
-        if assignments:
-            rules, starts, ends = _assignment_arrays(assignments)
+        if len(rules):
             spans = np.maximum(0, ends - starts).astype(_F64)
             spread = sub_nnz[rules].astype(_F64)
-            a = np.arange(len(assignments))
+            a = np.arange(len(rules))
             ops[a] = wc.MASK_CHECK_OPS + spans * (
                 wc.SYMBOL_VISIT_OPS + wc.HASH_UPDATE_OPS * spread
             )
@@ -640,7 +649,7 @@ def topdown_per_file_counts_vec(
                 wc.SYMBOL_VISIT_BYTES + wc.HASH_UPDATE_BYTES * spread
             )
             atomics[a] = spans * spread
-        file_tids = len(assignments) + np.arange(len(allowed_order))
+        file_tids = len(rules) + np.arange(len(allowed_order))
         ops[file_tids] = wc.HASH_UPDATE_OPS * flat.rw_count[allowed_cols]
         mem[file_tids] = wc.HASH_UPDATE_BYTES * flat.rw_count[allowed_cols]
         device.launch_bulk(
@@ -652,10 +661,8 @@ def topdown_per_file_counts_vec(
         )
         return _file_rows(flat, sub, allowed_cols)
 
-    rule_ids = list(range(1, n)) if n > 1 else []
-    assignments = flat.assignments(scheduler, "file") if rule_ids else []
-    if assignments:
-        rules, starts, ends = _assignment_arrays(assignments)
+    rules, starts, ends = flat.assignments(scheduler, "file")
+    if len(rules):
         spans = np.maximum(0, ends - starts).astype(_F64)
         spread = np.count_nonzero(matrix, axis=1).astype(_F64)[rules]
         ops = wc.MASK_CHECK_OPS + spans * (wc.SYMBOL_VISIT_OPS + wc.HASH_UPDATE_OPS * spread)
@@ -663,7 +670,7 @@ def topdown_per_file_counts_vec(
         atomics = spans * spread
         device.launch_bulk(
             "reduceFileResultKernel",
-            len(assignments),
+            len(rules),
             thread_ops=ops,
             thread_memory_bytes=mem,
             thread_atomic_ops=atomics,
@@ -1213,25 +1220,25 @@ def sequence_counts_vec(
     rule_launch = None
 
     if allowed is None:
-        assignments = flat.assignments(scheduler, "sequence")
+        rules, starts, ends = flat.assignments(scheduler, "sequence")
     else:
-        rule_ids = [r for r in range(1, layout.num_rules) if weights[r] != 0]
-        items = [int(flat.rule_lengths[r]) for r in rule_ids]
-        assignments = scheduler.partition_items(rule_ids, items) if rule_ids else []
+        rule_ids = np.flatnonzero(weights_arr[1 : layout.num_rules]).astype(_I64) + 1
+        rules, starts, ends = flat.partition(scheduler, rule_ids, flat.rule_lengths[rule_ids])
 
-    if assignments:
-        num_threads = len(assignments)
+    if len(rules):
+        num_threads = len(rules)
         ops = np.full(num_threads, wc.MASK_CHECK_OPS, dtype=_F64)
         mem = np.full(num_threads, 8.0, dtype=_F64)
-        for tid, assignment in enumerate(assignments):
-            weight = int(weights[assignment.rule_id])
-            if weight == 0 or assignment.span <= 0:
+        threads = zip(rules.tolist(), starts.tolist(), ends.tolist())
+        for tid, (rule_id, start, end) in enumerate(threads):
+            weight = int(weights[rule_id])
+            if weight == 0 or end <= start:
                 continue
-            skeleton = _rule_skeleton(cache, layout, buffers, assignment.rule_id)
-            body_length = int(flat.rule_lengths[assignment.rule_id])
-            extended_end = min(body_length, assignment.end + overlap)
+            skeleton = _rule_skeleton(cache, layout, buffers, rule_id)
+            body_length = int(flat.rule_lengths[rule_id])
+            extended_end = min(body_length, end + overlap)
             num_elements, num_windows, valid_rows = _windows_for_span(
-                skeleton, sequence_length, assignment.start, assignment.end, extended_end
+                skeleton, sequence_length, start, end, extended_end
             )
             num_valid = len(valid_rows)
             ops[tid] += (

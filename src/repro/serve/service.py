@@ -155,6 +155,10 @@ class ServiceStats:
     shared_kernel_launches: int
     session_cache: CacheStats
     result_cache: CacheStats
+    #: Micro-batches whose session caught up with a mutated corpus by a
+    #: delta update, and by dropping its state for a rebuild.
+    delta_syncs: int = 0
+    rebuild_syncs: int = 0
 
     @property
     def launches_per_query(self) -> float:
@@ -270,6 +274,7 @@ class ServingCore:
         self._coalesced_queries = 0
         self._kernel_launches = 0
         self._shared_kernel_launches = 0
+        self._syncs = {"delta": 0, "rebuild": 0}
         # Fingerprint generations: bumped by invalidate() *before* entries
         # are dropped, so in-flight write-backs guarded on an older epoch
         # can never resurrect an invalidated entry.
@@ -335,6 +340,8 @@ class ServingCore:
                 shared_kernel_launches=self._shared_kernel_launches,
                 session_cache=session_cache,
                 result_cache=result_cache,
+                delta_syncs=self._syncs["delta"],
+                rebuild_syncs=self._syncs["rebuild"],
             )
 
     @property
@@ -548,6 +555,8 @@ class ServingCore:
                 self._coalesced_queries += len(batch)
             self._kernel_launches += result_batch.total_kernel_launches
             self._shared_kernel_launches += result_batch.shared_kernel_launches
+            if result_batch.sync in self._syncs:
+                self._syncs[result_batch.sync] += 1
         shared = perf_from_records(result_batch.init_record, result_batch.shared_record)
         for position, slot in enumerate(batch):
             run = result_batch[slot.query.task]

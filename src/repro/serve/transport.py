@@ -12,8 +12,11 @@ to each shard only through this interface.  Two implementations ship:
     thread pool.  Zero serialization, zero wire bytes.
 
 :class:`ProcessTransport`
-    The shard's serving core in a **spawned worker process**
+    The shard's serving core in a **worker process**
     (:func:`repro.serve.worker.worker_main`) behind a duplex pipe.
+    Workers are forks of one ``multiprocessing`` fork server per parent
+    process, which has already imported the worker module, so a start
+    costs a fork rather than a fresh interpreter's imports.
     Every message is one :mod:`repro.serve.wire` frame: a length prefix
     and a protocol-5 pickle restricted to an allowlist of wire types.
     The transport spawns the worker and creates the pipe itself, and
@@ -221,12 +224,18 @@ def _empty_service_stats() -> ServiceStats:
 
 
 def _ensure_child_importable() -> None:
-    """Make sure a spawned worker can ``import repro``.
+    """Make sure the fork server can preload ``repro.serve.worker``.
 
-    Spawn re-imports the target by qualified name in a fresh
-    interpreter, which only works if the package root is on the child's
-    path.  Tests and the CLI run with ``PYTHONPATH=src`` already; this
-    covers callers that grew ``sys.path`` some other way.
+    The server is a fresh interpreter started with this process's
+    environment.  ``multiprocessing.forkserver.main`` accepts the
+    parent's ``sys.path`` but never applies it, and it ignores an
+    ``ImportError`` while preloading, so a server that cannot find
+    ``repro`` starts anyway and every worker pays the imports again.
+    The server finds the package only through ``PYTHONPATH``, so this
+    must run before the first worker start launches it.  Tests and the
+    CLI run with ``PYTHONPATH=src`` already; this covers callers that
+    grew ``sys.path`` some other way.  Each forked worker then gets the
+    parent's ``sys.path`` from ``multiprocessing.spawn.prepare``.
     """
     root = str(Path(__file__).resolve().parents[2])
     existing = os.environ.get("PYTHONPATH", "")
@@ -238,14 +247,15 @@ def _ensure_child_importable() -> None:
 
 
 class ProcessTransport(ShardTransport):
-    """One shard in a spawned worker process behind a framed pipe.
+    """One shard in a forked worker process behind a framed pipe.
 
     The worker starts lazily on the first request, so constructing a
-    pool (or resizing one) stays cheap.  A single lane thread owns the
-    pipe: requests enqueue as futures and execute strictly in order —
-    corpus sync, then the op — which keeps the wire protocol free of
-    request ids and makes ``_shipped`` (per-uid shipped epoch state)
-    lane-private, needing no lock.
+    pool (or resizing one) stays cheap; the parent process's first
+    worker start also launches the fork server.  A single lane thread
+    owns the pipe: requests enqueue as futures and execute strictly in
+    order — corpus sync, then the op — which keeps the wire protocol
+    free of request ids and makes ``_shipped`` (per-uid shipped epoch
+    state) lane-private, needing no lock.
     """
 
     kind = "process"
@@ -382,7 +392,11 @@ class ProcessTransport(ShardTransport):
     # -- the wire ----------------------------------------------------------------------
     def _spawn(self):
         _ensure_child_importable()
-        context = multiprocessing.get_context("spawn")
+        # One fork server per parent process, started by the first call
+        # here: it imports numpy and ``repro`` once, and every worker is
+        # a fork of it.
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload(["repro.serve.worker"])
         parent_conn, child_conn = context.Pipe(duplex=True)
         process = context.Process(
             target=worker_main,

@@ -135,12 +135,12 @@ def worker_main(
 ) -> None:
     """The worker process entry point: serve framed ops until the pipe closes.
 
-    Runs in the spawned child.  ``engine_config``/``service_config`` are
-    frozen scalar dataclasses and arrive through the spawn pickle; all
-    per-request traffic goes through :mod:`repro.serve.wire` frames.
-    Every op gets exactly one reply — ``("ok", result)`` or ``("error",
-    {"type", "message"})`` — so the parent's request/reply lane never
-    desynchronizes.
+    Runs in the worker process.  ``engine_config``/``service_config``
+    are frozen scalar dataclasses and arrive pickled with the process
+    object; all per-request traffic goes through :mod:`repro.serve.wire`
+    frames.  Every op gets exactly one reply — ``("ok", result)`` or
+    ``("error", {"type", "message"})`` — so the parent's request/reply
+    lane never desynchronizes.
     """
     host = ShardHost(name, engine_config, service_config)
     while True:

@@ -220,6 +220,36 @@ class TestSessionDelta:
             reference.run(Query(task=Task.RELATIONAL, extras={"relational": spec})).result,
         )
 
+    @pytest.mark.parametrize("transport", ["inprocess", "process"])
+    def test_shard_stats_count_delta_and_rebuild_syncs(self, transport):
+        """A warm append counts one delta sync, a replace one rebuild.
+
+        Each shard's serving core counts its own syncs; a process
+        shard's counts cross the wire with its stats.
+        """
+        rng = random.Random(8)
+        live = _scratch(_seed_streams(rng))
+        query = Query(task=Task.WORD_COUNT, top_k=5)
+        with ShardedAnalyticsService(
+            sharded_config=ShardedServiceConfig(num_shards=2, transport=transport)
+        ) as pool:
+
+            def syncs():
+                shards = pool.stats().shards
+                return (
+                    sum(shard.delta_syncs for shard in shards),
+                    sum(shard.rebuild_syncs for shard in shards),
+                )
+
+            pool.submit(query, source=live)
+            assert syncs() == (0, 0)
+            live.append_files({"ingest": _random_tokens(rng, ["liveA", "liveB"], 15, 30)})
+            pool.submit(query, source=live)
+            assert syncs() == (1, 0)
+            live.replace_file("doc0", _random_tokens(rng, _VOCAB, 10, 25))
+            pool.submit(query, source=live)
+            assert syncs() == (1, 1)
+
 
 # ----------------------------------------------------------------------------------------
 # Nine-backend matrix across mutation epochs

@@ -23,9 +23,10 @@ The matrix covers the Table II analogues A-E at scale 0.05 and a
 six-row relational corpus, both traversal families, sequence lengths 2,
 3 and 4, and every file-subset-aware kernel with and without a two-file
 subset.  The kernel names compared must equal the set ``vectorized.py``
-launches, so a new bulk kernel without a comparison here fails.  A last
-test checks that the engine never interprets a kernel that has a bulk
-port.
+launches, so a new bulk kernel without a comparison here fails.  The
+bulk kernels' numpy thread partition is compared with
+``FineGrainedScheduler.partition_items`` on its own, and a last test
+checks that the engine never interprets a kernel that has a bulk port.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import functools
 import inspect
 from typing import Callable, Set
 
+import numpy as np
 import pytest
 
 from repro.analytics.base import Task
@@ -289,6 +291,50 @@ def test_bulk_kernels_match_their_reference(key):
         )
 
     assert oracle.compared == _bulk_kernel_names()
+
+
+@pytest.mark.parametrize("key", ["A", "B", "C", "D", "E"])
+def test_thread_partitions_match_partition_items(key):
+    """The bulk kernels' numpy thread partition against ``partition_items``.
+
+    Covers the three cached unfiltered shapes and the file-subset shape
+    for two subsets, under the paper's scheduler and under one that
+    splits most rules, so uneven splits are compared too.
+    """
+    layout = DeviceRuleLayout.from_compressed(_corpus(key))
+    flat = vectorized.flattened(layout)
+    file_weights = traversal.compute_file_weights_topdown(layout, GPUDevice())
+    n = layout.num_rules
+    local_items = [len(words) for words in layout.local_words]
+    subsets = ((0, layout.num_files - 1), tuple(range(0, layout.num_files, 2)))
+    schedulers = (
+        FineGrainedScheduler(layout),
+        FineGrainedScheduler(layout, oversize_threshold=0.25, max_group_size=5),
+    )
+    split_threads = 0
+    for scheduler in schedulers:
+        cases = [
+            ("corpus", list(range(n)), local_items, flat.assignments(scheduler, "corpus")),
+            ("file", list(range(1, n)), local_items[1:], flat.assignments(scheduler, "file")),
+            (
+                "sequence",
+                list(range(1, n)),
+                list(layout.rule_lengths[1:]),
+                flat.assignments(scheduler, "sequence"),
+            ),
+        ]
+        for subset in subsets:
+            rule_ids = [r for r in range(1, n) if any(f in subset for f in file_weights[r])]
+            port = flat.partition(
+                scheduler, np.asarray(rule_ids, dtype=np.int64), flat.lw_count[rule_ids]
+            )
+            cases.append((f"files {subset}", rule_ids, [local_items[r] for r in rule_ids], port))
+        for label, rule_ids, items, port in cases:
+            expected = scheduler.partition_items(rule_ids, items)
+            got = list(zip(*(column.tolist() for column in port)))
+            assert got == [(a.rule_id, a.start, a.end) for a in expected], label
+            split_threads += sum(1 for a in expected if a.group_size > 1)
+    assert split_threads > 0
 
 
 def test_engine_never_interprets_a_ported_kernel(monkeypatch):

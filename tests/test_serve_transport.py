@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -445,6 +449,105 @@ class TestCrashIsolation:
         assert stats.shard_failures >= 1
         assert stats.replaced_shards == stats.shard_failures
         assert stats.moved_sessions == 0
+
+
+# ----------------------------------------------------------------------------------------
+# Worker starts: forks of one preloaded fork server
+# ----------------------------------------------------------------------------------------
+
+def _parent_pid(pid: int) -> int:
+    """``pid``'s parent, from ``/proc/<pid>/stat`` (Linux)."""
+    with open(f"/proc/{pid}/stat") as handle:
+        stat = handle.read()
+    # The command name may hold spaces; the fields after it are fixed.
+    return int(stat.rsplit(")", 1)[1].split()[1])
+
+
+#: Runs in a child interpreter with ``PYTHONPATH`` unset: ``src`` is put on
+#: ``sys.path`` in code, so only the transport can hand it to the server.
+_NO_PYTHONPATH_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.analytics.base import Task
+from repro.api.query import Query
+from repro.compression.compressor import compress_corpus
+from repro.data.corpus import Corpus
+from repro.serve import AnalyticsService, ShardedAnalyticsService, ShardedServiceConfig
+
+text = "alpha beta gamma delta alpha beta zeta eta " * 4
+compressed = compress_corpus(Corpus.from_texts({{f"f{{i}}.txt": text + str(i) for i in range(3)}}))
+queries = [Query(task=Task.WORD_COUNT, top_k=4), Query(task=Task.SORT, top_k=3)]
+with ShardedAnalyticsService(
+    sharded_config=ShardedServiceConfig(num_shards=2, transport="process")
+) as pool:
+    for query in queries:
+        want = AnalyticsService(compressed).submit(query).result
+        assert pool.submit(query, source=compressed).result == want, query
+    pool.stats()
+    worker = pool._shards[0].transport._process.pid
+    with open(f"/proc/{{worker}}/stat") as handle:
+        server = int(handle.read().rsplit(")", 1)[1].split()[1])
+    with open(f"/proc/{{server}}/maps") as handle:
+        assert "_multiarray_umath" in handle.read(), "the fork server did not preload"
+print("preloaded")
+"""
+
+
+class TestForkServer:
+    def test_workers_and_replacements_fork_from_one_server(self):
+        compressed = compress_corpus(_corpus("fork"))
+        with _pool("process") as service:
+            service.stats()  # starts both workers
+            first = [shard.transport._process.pid for shard in service._shards]
+            parents = {_parent_pid(pid) for pid in first}
+            victim = service._shards[service.shard_for(compressed)]
+            victim.transport.kill()
+            assert service.submit(Query(task=Task.WORD_COUNT), source=compressed).result
+            service.stats()
+            replacements = [
+                shard.transport._process.pid
+                for shard in service._shards
+                if shard.transport._process.pid not in first
+            ]
+            assert len(replacements) == 1
+            parents.add(_parent_pid(replacements[0]))
+            assert service.stats().replaced_shards == 1
+        (server,) = parents
+        assert server != os.getpid()
+        assert _parent_pid(server) == os.getpid()
+
+    def test_server_preloads_the_worker_without_pythonpath(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, "-c", _NO_PYTHONPATH_SCRIPT.format(src=src)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "preloaded"
+
+    def test_killed_worker_is_dead_with_sigterm_exit_code(self):
+        transport = create_transport(
+            "process",
+            shard_id=991,
+            name="kill",
+            engine_config=None,
+            service_config=ServiceConfig(),
+            workers=1,
+        )
+        try:
+            assert transport._roundtrip(("ping", None)) == "pong"
+            assert transport.alive
+            transport.kill()
+            assert not transport.alive
+            with pytest.raises(ShardFailure, match="exitcode -15"):
+                transport._roundtrip(("ping", None))
+        finally:
+            transport.close()
 
 
 # ----------------------------------------------------------------------------------------
