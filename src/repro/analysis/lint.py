@@ -124,6 +124,7 @@ def _ensure_rules_loaded() -> None:
     # Rule modules register on import; import them lazily so `lint` stays
     # importable even if a rule module is mid-edit.
     from repro.analysis import (  # noqa: F401  (imported for registration side effect)
+        rules_checked_decode,
         rules_determinism,
         rules_epoch_guard,
         rules_kernels,

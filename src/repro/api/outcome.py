@@ -12,6 +12,7 @@ traversal).  Backend-specific objects stay reachable through
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
@@ -93,6 +94,13 @@ class RunOutcome:
     object (e.g. :class:`~repro.core.engine.GTadocRunResult`) for
     callers that need engine internals, and ``details`` carries small
     engine extras (chosen traversal strategy, memory-pool bytes, ...).
+
+    :attr:`snapshot` is ``result`` as a protocol-5 pickle.  An outcome
+    built by :meth:`from_snapshot` without a ``result`` (a serving
+    cache hit) decodes ``result`` from those bytes on first access;
+    any other outcome pickles ``result`` on the first read of
+    ``snapshot``.  Either way each is computed at most once, and the
+    process-shard wire ships the snapshot rather than the objects.
     """
 
     query: Query
@@ -102,6 +110,37 @@ class RunOutcome:
     perf: RunPerf = field(default_factory=RunPerf)
     raw: Any = None
     details: Dict[str, Any] = field(default_factory=dict)
+
+    @classmethod
+    def from_snapshot(cls, snapshot: bytes, **fields: Any) -> "RunOutcome":
+        """An outcome whose result is ``snapshot``, already pickled.
+
+        Without a ``result`` among ``fields``, the result is decoded from
+        ``snapshot`` on first access.
+        """
+        decoded = "result" in fields
+        outcome = cls(**{"result": None, **fields})
+        if not decoded:
+            object.__delattr__(outcome, "result")
+        object.__setattr__(outcome, "_snapshot", snapshot)
+        return outcome
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for attributes never set: an undecoded result.
+        if name != "result" or "_snapshot" not in self.__dict__:
+            raise AttributeError(name)
+        result = pickle.loads(self._snapshot)
+        object.__setattr__(self, "result", result)
+        return result
+
+    @property
+    def snapshot(self) -> bytes:
+        """``result`` as protocol-5 pickle bytes, kept once made or received."""
+        snapshot = self.__dict__.get("_snapshot")
+        if snapshot is None:
+            snapshot = pickle.dumps(self.result, protocol=5)
+            object.__setattr__(self, "_snapshot", snapshot)
+        return snapshot
 
     @property
     def kernel_launches(self) -> int:

@@ -40,7 +40,6 @@ front the same registry every other engine sits behind.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -198,23 +197,17 @@ class _SessionEntry:
 class _CachedResult:
     """What the result cache stores: a snapshot of the shaped result + the strategy used.
 
-    The snapshot is the result pickled once at write-back.  Bytes cannot
-    be mutated, and every hit decodes an independent object graph of the
-    same types from them, so no caller mutation can poison the cache (or
-    another caller's outcome) and the bit-identical-to-serial guarantee
-    holds.  The snapshot's length is the entry's exact weight under a
-    byte budget.
+    The snapshot is the outcome's :attr:`~repro.api.outcome.RunOutcome.snapshot`,
+    pickled once at write-back (a process shard's reply ships the same
+    bytes).  Bytes cannot be mutated, and every hit decodes an
+    independent object graph of the same types from them, so no caller
+    mutation can poison the cache (or another caller's outcome) and the
+    bit-identical-to-serial guarantee holds.  The snapshot's length is
+    the entry's exact weight under a byte budget.
     """
 
     snapshot: bytes
     strategy: Optional[str]
-
-    @classmethod
-    def of(cls, result: object, strategy: Optional[str]) -> "_CachedResult":
-        return cls(snapshot=pickle.dumps(result, protocol=5), strategy=strategy)
-
-    def fresh_result(self) -> object:
-        return pickle.loads(self.snapshot)
 
 
 @dataclass
@@ -277,9 +270,11 @@ class ServingCore:
         self._syncs = {"delta": 0, "rebuild": 0}
         # Fingerprint generations: bumped by invalidate() *before* entries
         # are dropped, so in-flight write-backs guarded on an older epoch
-        # can never resurrect an invalidated entry.
+        # can never resurrect an invalidated entry.  A fingerprint absent
+        # from the map reads the floor (see _prune_epochs).
         self._epoch_lock = make_lock("serve.epoch")
         self._epochs: Dict[str, int] = {}
+        self._epoch_floor = 0
         # Mutable-corpus tracking: per corpus uid, the last (version,
         # fingerprint) a routed query observed.  Mutations do not notify
         # the serving layer; the next query that touches the corpus sees
@@ -317,11 +312,11 @@ class ServingCore:
         afterwards.  Returns the number of entries dropped.
         """
         fingerprint = self._resolve_source(source).fingerprint()
-        with self._epoch_lock:
-            self._epochs[fingerprint] = self._epochs.get(fingerprint, 0) + 1
+        self._retire_epoch(fingerprint)
         self._corpus_memo.drop_fingerprint(fingerprint)
         dropped = self._sessions.remove_where(lambda key: key[0] == fingerprint)
         dropped += self._results.remove_where(lambda key: key[0][0] == fingerprint)
+        self._prune_epochs()
         return dropped
 
     def stats(self) -> ServiceStats:
@@ -397,7 +392,37 @@ class ServingCore:
 
     def _epoch_of(self, fingerprint: str) -> int:
         with self._epoch_lock:
-            return self._epochs.get(fingerprint, 0)
+            return self._epochs.get(fingerprint, self._epoch_floor)
+
+    def _retire_epoch(self, fingerprint: str) -> None:
+        """Bump ``fingerprint``'s epoch, failing every write-back captured before."""
+        with self._epoch_lock:
+            self._epochs[fingerprint] = self._epochs.get(fingerprint, self._epoch_floor) + 1
+
+    def _prune_epochs(self) -> None:
+        """Forget the epochs of fingerprints with no resident session or result.
+
+        The floor that absent fingerprints read rises to at least every
+        pruned value, so a pruned fingerprint never reads back an epoch a
+        query captured before its retirement.  Resident fingerprints that
+        read the old floor keep it as their own entry first, so a rise
+        never ages a live session.  The map stays within the resident
+        fingerprints.  Cache keys are read before the epoch lock, which
+        ranks inside the cache locks.
+        """
+        resident = {key[0] for key in self._sessions.keys()}
+        resident.update(key[0][0] for key in self._results.keys())
+        with self._epoch_lock:
+            pruned = [fingerprint for fingerprint in self._epochs if fingerprint not in resident]
+            if not pruned:
+                return
+            floor = max(self._epoch_floor, max(self._epochs[fingerprint] for fingerprint in pruned))
+            if floor > self._epoch_floor:
+                for fingerprint in resident:
+                    self._epochs.setdefault(fingerprint, self._epoch_floor)
+                self._epoch_floor = floor
+            for fingerprint in pruned:
+                del self._epochs[fingerprint]
 
     #: Bound on tracked corpus uids (oldest observation dropped first).
     _MAX_TRACKED_UIDS = 256
@@ -433,8 +458,7 @@ class ServingCore:
         if old_fingerprint == fingerprint:
             return fingerprint
         # Kill in-flight write-backs against the retired fingerprint.
-        with self._epoch_lock:
-            self._epochs[old_fingerprint] = self._epochs.get(old_fingerprint, 0) + 1
+        self._retire_epoch(old_fingerprint)
         # Carry warm sessions of this corpus object over to the new epoch.
         for key in self._sessions.keys():
             if key[0] != old_fingerprint:
@@ -450,6 +474,7 @@ class ServingCore:
         # corpus object, or cached results) expired with its epoch.
         self._sessions.expire_where(lambda key: key[0] == old_fingerprint)
         self._results.expire_where(lambda key: key[0][0] == old_fingerprint)
+        self._prune_epochs()
         return fingerprint
 
     def _store_result(self, prepared: _PreparedQuery, outcome: RunOutcome) -> bool:
@@ -468,7 +493,7 @@ class ServingCore:
             # never stale here: invalidation removes entries before any
             # same-key write-back can observe them.
             return False
-        entry = _CachedResult.of(outcome.result, outcome.details.get("strategy"))
+        entry = _CachedResult(outcome.snapshot, outcome.details.get("strategy"))
         # Without a budget entries keep unit weight, so the cache's
         # ``weight_bytes`` keeps counting entries.
         weight = len(entry.snapshot) if self.config.result_cache_bytes is not None else 1
@@ -584,16 +609,20 @@ class ServingCore:
             )
 
     def _hit_outcome(self, query: Query, cached: _CachedResult) -> RunOutcome:
+        """A hit's outcome, decoded from the cached snapshot on first access.
+
+        A process shard never reads the result: its reply ships the
+        cached bytes as they are.
+        """
         details = {"result_cache": "hit"}
         if cached.strategy is not None:
             details["strategy"] = cached.strategy
-        return RunOutcome(
+        return RunOutcome.from_snapshot(
+            cached.snapshot,
             query=query,
             backend=self.name,
             task=query.task,
-            result=cached.fresh_result(),
             perf=RunPerf(),  # a cache hit launches no kernels
-            raw=None,
             details=details,
         )
 

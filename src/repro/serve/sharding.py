@@ -232,6 +232,9 @@ class ShardedStats:
     #: The wire traffic priced under the same cluster spec as
     #: :attr:`network_seconds`.
     wire_seconds: float = 0.0
+    #: Shard replies the router's wire refused; each was raised to its
+    #: caller as :class:`~repro.serve.wire.WireError`.
+    refused_replies: int = 0
 
     # -- aggregates over the shard pool ------------------------------------------------
     @property
@@ -389,6 +392,7 @@ class ShardedAnalyticsService:
         # the pool's serialized-traffic totals go backwards.
         self._retired_wire_messages = 0.0
         self._retired_wire_bytes = 0.0
+        self._retired_refused_replies = 0
         # Placement traffic has its own lock: charging a finished outcome
         # must not contend with the routing hot path.
         self._network = CostCounter()
@@ -807,6 +811,7 @@ class ShardedAnalyticsService:
             self._replaced_shards += 1
             self._retired_wire_messages += shard.transport.wire_messages
             self._retired_wire_bytes += shard.transport.wire_bytes
+            self._retired_refused_replies += shard.transport.refused_replies
         # Drain outside the router lock: close joins the worker process.
         shard.close()
 
@@ -911,6 +916,7 @@ class ShardedAnalyticsService:
                 moved += shard.transport.resident_sessions
                 self._retired_wire_messages += shard.transport.wire_messages
                 self._retired_wire_bytes += shard.transport.wire_bytes
+                self._retired_refused_replies += shard.transport.refused_replies
                 shard.close()
             for shard in survivors:
                 for key in shard.transport.session_keys():
@@ -950,9 +956,11 @@ class ShardedAnalyticsService:
             replaced = self._replaced_shards
             wire_messages = self._retired_wire_messages
             wire_bytes = self._retired_wire_bytes
+            refused = self._retired_refused_replies
             for shard in shards:
                 wire_messages += shard.transport.wire_messages
                 wire_bytes += shard.transport.wire_bytes
+                refused += shard.transport.refused_replies
         with self._network_lock:
             messages = self._network.network_messages
             sent_bytes = self._network.network_bytes
@@ -976,6 +984,7 @@ class ShardedAnalyticsService:
             wire_messages=wire_messages,
             wire_bytes=wire_bytes,
             wire_seconds=self._network_seconds(wire_messages, wire_bytes),
+            refused_replies=refused,
         )
 
     def close(self) -> None:

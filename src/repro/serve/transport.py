@@ -148,6 +148,11 @@ class ShardTransport:
     def wire_bytes(self) -> float:
         return 0.0
 
+    #: Replies the wire refused, each raised as :class:`~repro.serve.wire.WireError`.
+    @property
+    def refused_replies(self) -> int:
+        return 0
+
     def close(self) -> None:
         raise NotImplementedError
 
@@ -287,6 +292,7 @@ class ProcessTransport(ShardTransport):
         self._shipped = {}
         self._wire_message_count = 0.0
         self._wire_byte_count = 0.0
+        self._refused_reply_count = 0
 
     # -- data plane --------------------------------------------------------------------
     def submit(self, query, compressed, engine_config=None):
@@ -372,6 +378,11 @@ class ProcessTransport(ShardTransport):
         with self._lock:
             return self._wire_byte_count
 
+    @property
+    def refused_replies(self) -> int:
+        with self._lock:
+            return self._refused_reply_count
+
     def _count_wire(self, num_bytes: int) -> None:
         with self._lock:
             self._wire_message_count += 1.0
@@ -421,11 +432,19 @@ class ProcessTransport(ShardTransport):
                 return self._conn
         return self._spawn()
 
+    #: Seconds a broken pipe waits for its worker's exit to be reported.
+    _EXIT_WAIT_S = 1.0
+
     def _worker_died(self, error: BaseException) -> ShardFailure:
         with self._lock:
             self._dead = True
             process = self._process
-        exitcode = process.exitcode if process is not None else None
+        exitcode = None
+        if process is not None:
+            # The pipe breaks as the worker exits, before its exit code
+            # is reported; a bounded join lets the failure name it.
+            process.join(timeout=self._EXIT_WAIT_S)
+            exitcode = process.exitcode
         return ShardFailure(
             f"shard worker {self._shard_id} died "
             f"(exitcode {exitcode}): {error!r}"
@@ -452,7 +471,12 @@ class ProcessTransport(ShardTransport):
         except (EOFError, OSError) as error:
             raise self._worker_died(error) from None
         self._count_wire(len(reply))
-        status, payload = wire.decode_frame(reply)
+        try:
+            status, payload = wire.decode_frame(reply)
+        except wire.WireError:
+            with self._lock:
+                self._refused_reply_count += 1
+            raise
         if status == "error":
             raise REPLY_ERRORS.get(payload["type"], RuntimeError)(payload["message"])
         return payload

@@ -13,20 +13,33 @@ boundary as one frame.  This module is that contract:
   allowlist below keeps the codec closed; it does not make pickle safe
   to accept from a peer outside the boundary, such as a socket.
 * **Closed codec.**  Besides builtin scalars and containers, a body may
-  hold instances of exactly the classes in :data:`_WIRE_TYPES`.
-  Encoding any other instance, class or function raises ``TypeError``,
-  so a field that starts carrying an engine object fails loudly in the
-  round-trip tests instead of reaching a worker.  Decoding resolves
-  globals only from the same allowlist and raises :class:`WireError`
-  for any other name without importing or calling it.  A
-  :class:`RunOutcome` crosses with ``raw=None``: the engine-internal run
-  object stays behind, as it does for cached hits.
+  hold instances of exactly the classes in :data:`_WIRE_TYPES`, and
+  :class:`RunOutcome`.  Encoding any other instance, class or function
+  raises ``TypeError``, so a field that starts carrying an engine
+  object fails loudly in the round-trip tests instead of reaching a
+  worker.  Decoding resolves globals only from the same allowlist and
+  raises :class:`WireError` for any other name without importing or
+  calling it.  A :class:`RunOutcome` crosses as its fields and its
+  result's :attr:`~repro.api.outcome.RunOutcome.snapshot`, one bytes
+  argument, without ``raw``: the engine-internal run object stays
+  behind, as it does for cached hits.  A shard's cache hit ships the
+  bytes its result cache holds, and a miss the bytes it pickled once
+  for its cache entry, so the worker neither decodes nor re-encodes a
+  result.  The receiving :func:`decode_frame` checks and decodes each
+  snapshot under the same rules as the frame's body, so a bad snapshot
+  is a :class:`WireError` there too; the outcome keeps the bytes as
+  they arrived.
 * **Malformed bodies.**  Any failure to decode a correctly framed body
   raises :class:`WireError`.  Before the unpickler runs, the body's
-  opcodes are walked once: only the opcodes protocol 5 emits for wire
-  values are accepted, and every length must end inside the body.
+  opcodes are stepped over once: only the opcodes protocol 5 emits for
+  wire values are accepted, and every length must end inside the body.
   That keeps decoding bounded by the body's size — CPython's unpickler
-  sizes its memo from a ``PUT`` index before checking it.
+  sizes its memo from a ``PUT`` index before checking it.  The step is
+  one compiled pattern, :data:`_TOKENS`, built from the same opcode
+  table; it matches runs of whole tokens over windows of at most
+  :data:`_WINDOW` bytes, which bounds the regex engine's backtracking
+  state, and a short loop handles the one token that ends each match
+  (a long length prefix, ``STOP``, a refused opcode or a window edge).
 * **Framing.**  :func:`encode_frame` prefixes the body with its
   big-endian ``uint32`` length; :func:`decode_frame` verifies the
   prefix against the received byte count.  ``multiprocessing`` pipes
@@ -45,8 +58,8 @@ from __future__ import annotations
 import io
 import pickle
 import pickletools
+import re
 import struct
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analytics.base import Task
@@ -85,8 +98,10 @@ _HEADER = struct.Struct(">I")
 #: Pickle protocol of every body; no buffer travels out of band.
 _PROTOCOL = 5
 
-#: The classes whose instances a body may hold.  Numpy types are
-#: deliberately absent: no array or numpy scalar crosses the wire.
+#: The classes whose instances a body may hold, pickled as themselves.
+#: A :class:`RunOutcome` crosses as :func:`_outcome_from_wire` instead.
+#: Numpy types are deliberately absent: no array or numpy scalar
+#: crosses the wire.
 _WIRE_TYPES = frozenset(
     {
         Task,
@@ -101,13 +116,11 @@ _WIRE_TYPES = frozenset(
         MutationEvent,
         PhasePerf,
         RunPerf,
-        RunOutcome,
         GTadocConfig,
         CacheStats,
         ServiceStats,
     }
 )
-_GLOBALS = {(cls.__module__, cls.__qualname__): cls for cls in _WIRE_TYPES}
 
 #: The opcodes protocol 5 emits for wire values.  Text-argument, memo
 #: ``PUT``, extension-registry, persistent-id and out-of-band buffer
@@ -152,6 +165,40 @@ def _opcode_steps() -> Tuple[List[Optional[int]], List[int]]:
 _STEPS, _PREFIX_WIDTHS = _opcode_steps()
 
 
+def _token_pattern(steps: List[Optional[int]], widths: List[int]) -> "re.Pattern[bytes]":
+    """A pattern matching a run of whole tokens that need no arithmetic.
+
+    A token is an opcode with a fixed-size argument, or one whose
+    argument has a one-byte length prefix (one alternative per length).
+    Runs of one-byte opcodes follow each token as a single-byte repeat,
+    which the regex engine matches without per-item bookkeeping.  Four-
+    and eight-byte length prefixes, ``STOP`` and refused opcodes end a
+    match, and so does a token that does not fit in the searched span.
+    """
+
+    def one_of(codes: List[int]) -> bytes:
+        return b"[" + b"".join(b"\\x%02x" % code for code in codes) + b"]"
+
+    by_step: Dict[int, List[int]] = {}
+    for code, step in enumerate(steps):
+        if step:
+            by_step.setdefault(step, []).append(code)
+    ones = one_of(by_step.pop(1)) + b"*"
+    tokens = [one_of(codes) + b".{%d}" % (step - 1) for step, codes in sorted(by_step.items())]
+    short = [code for code, width in enumerate(widths) if width == 1]
+    lengths = b"|".join(b"\\x%02x" % size + b".{%d}" % size for size in range(256))
+    tokens.append(one_of(short) + b"(?:" + lengths + b")")
+    return re.compile(ones + b"(?:(?:" + b"|".join(tokens) + b")" + ones + b")*", re.DOTALL)
+
+
+_TOKENS = _token_pattern(_STEPS, _PREFIX_WIDTHS)
+
+#: Bytes one match of :data:`_TOKENS` may span.  The engine keeps
+#: backtracking state per repeated token, so an unbounded match over a
+#: large body would hold memory in proportion to it.
+_WINDOW = 4096
+
+
 class WireError(ValueError):
     """A frame or payload that violates the wire contract."""
 
@@ -160,9 +207,14 @@ class _Pickler(pickle.Pickler):
     def reducer_override(self, obj: Any) -> Any:
         # Builtin scalars and containers are pickled before this hook.
         cls = type(obj)
-        if cls is RunOutcome and obj.raw is not None:
-            return replace(obj, raw=None).__reduce_ex__(_PROTOCOL)
-        if cls in _WIRE_TYPES or (isinstance(obj, type) and obj in _WIRE_TYPES):
+        if cls is RunOutcome:
+            # The result crosses as its snapshot; ``raw`` stays behind.
+            return _outcome_from_wire, (
+                obj.query, obj.backend, obj.task, obj.snapshot, obj.perf, obj.details,
+            )
+        if cls in _WIRE_TYPES or obj is _outcome_from_wire or (
+            isinstance(obj, type) and obj in _WIRE_TYPES
+        ):
             return NotImplemented
         raise TypeError(f"wire codec cannot encode {cls.__name__}: {obj!r}")
 
@@ -176,9 +228,16 @@ class _Unpickler(pickle.Unpickler):
 
 
 def _check_opcodes(body: bytes) -> None:
-    """Walk ``body``'s opcodes without executing them (see module doc)."""
+    """Step over ``body``'s opcodes without executing them (see module doc).
+
+    :data:`_TOKENS` matches runs of whole tokens, one window at a time;
+    the loop handles the one token that ends each match.
+    """
     index, end = 0, len(body)
     while index < end:
+        index = _TOKENS.match(body, index, min(index + _WINDOW, end)).end()
+        if index == end:
+            break
         opcode = body[index]
         step = _STEPS[opcode]
         if step:
@@ -193,6 +252,33 @@ def _check_opcodes(body: bytes) -> None:
             start = index + 1 + _PREFIX_WIDTHS[opcode]
             index = start + int.from_bytes(body[index + 1:start], "little")
     raise WireError("truncated body: no STOP within the frame")
+
+
+def _load_checked(body: bytes) -> Any:
+    """The value pickled in ``body``, after its opcodes passed the check."""
+    _check_opcodes(body)
+    return _Unpickler(io.BytesIO(body)).load()
+
+
+def _outcome_from_wire(query, backend, task, snapshot, perf, details) -> RunOutcome:
+    """Rebuild a :class:`RunOutcome` while its frame decodes.
+
+    The result snapshot is checked and decoded here, inside
+    :func:`decode_frame`, and kept as the bytes that arrived.
+    """
+    return RunOutcome.from_snapshot(
+        snapshot,
+        result=_load_checked(snapshot),
+        query=query,
+        backend=backend,
+        task=task,
+        perf=perf,
+        details=details,
+    )
+
+
+_GLOBALS = {(cls.__module__, cls.__qualname__): cls for cls in _WIRE_TYPES}
+_GLOBALS[__name__, _outcome_from_wire.__qualname__] = _outcome_from_wire
 
 
 # ----------------------------------------------------------------------------------------
@@ -217,9 +303,8 @@ def decode_frame(frame: bytes) -> Any:
         raise WireError(
             f"frame length mismatch: header says {length} bytes, got {len(body)}"
         )
-    _check_opcodes(body)
     try:
-        return _Unpickler(io.BytesIO(body)).load()
+        return _load_checked(body)
     except WireError:
         raise
     except Exception as error:

@@ -257,6 +257,107 @@ class TestGoldenBadExamples:
         assert run_lint(root, rules=["epoch-guard"]) == []
 
 
+    def test_checked_decode_pickle_loads_in_serve(self, tmp_path):
+        root = _mini_repo(tmp_path, {
+            "repro/serve/rogue.py": """
+                import pickle
+
+
+                def result_of(reply):
+                    return pickle.loads(reply)
+            """,
+        })
+        findings = run_lint(root, rules=["checked-decode"])
+        assert len(findings) == 1
+        (finding,) = findings
+        assert finding.rule == "checked-decode"
+        assert finding.path == "repro/serve/rogue.py"
+        assert finding.line == 6
+        assert "pickle.loads" in finding.message and "decode_frame" in finding.message
+
+    def test_checked_decode_aliases_and_unpickler_outside_the_decoder(self, tmp_path):
+        root = _mini_repo(tmp_path, {
+            "repro/serve/wire.py": """
+                import io
+                import pickle as codec
+                from pickle import load as read_one
+
+
+                class _Unpickler(codec.Unpickler):
+                    pass
+
+
+                class _Lenient(codec.Unpickler):
+                    pass
+
+
+                def sideways(body):
+                    return read_one(io.BytesIO(body))
+            """,
+        })
+        findings = run_lint(root, rules=["checked-decode"])
+        assert [finding.line for finding in findings] == [11, 16]
+        assert "codec.Unpickler" in findings[0].message
+        assert "read_one" in findings[1].message
+
+    def test_checked_decode_lazy_snapshot_outside_the_hit_path(self, tmp_path):
+        root = _mini_repo(tmp_path, {
+            "repro/serve/service.py": """
+                from repro.api.outcome import RunOutcome
+
+
+                class ServingCore:
+                    def _relay(self, query, reply_bytes):
+                        return RunOutcome.from_snapshot(reply_bytes, query=query)
+            """,
+        })
+        findings = run_lint(root, rules=["checked-decode"])
+        assert len(findings) == 1
+        (finding,) = findings
+        assert finding.line == 7
+        assert "from_snapshot without result=" in finding.message
+
+    def test_checked_decode_accepts_the_decoder_the_hit_path_and_encoding(self, tmp_path):
+        root = _mini_repo(tmp_path, {
+            "repro/serve/wire.py": """
+                import pickle
+
+                from repro.api.outcome import RunOutcome
+
+
+                class _Unpickler(pickle.Unpickler):
+                    pass
+
+
+                def _outcome_from_wire(snapshot, **fields):
+                    result = _Unpickler(snapshot).load()
+                    return RunOutcome.from_snapshot(snapshot, result=result, **fields)
+
+
+                def encode(value):
+                    return pickle.dumps(value, protocol=5)
+            """,
+            "repro/serve/service.py": """
+                from repro.api.outcome import RunOutcome
+
+
+                class ServingCore:
+                    def _hit_outcome(self, query, cached):
+                        return RunOutcome.from_snapshot(cached.snapshot, query=query)
+            """,
+            # Outside the serving layer the rule does not look.
+            "repro/bench/cache.py": """
+                import pickle
+
+
+                def load(path):
+                    with open(path, "rb") as handle:
+                        return pickle.load(handle)
+            """,
+        })
+        assert run_lint(root, rules=["checked-decode"]) == []
+
+
 # ----------------------------------------------------------------------------------------
 # The real repo is clean
 # ----------------------------------------------------------------------------------------
@@ -269,6 +370,7 @@ class TestFullRepo:
         names = [name for name, _ in registered_rules()]
         assert names == sorted(
             [
+                "checked-decode",
                 "determinism",
                 "epoch-guard",
                 "kernel-discipline",

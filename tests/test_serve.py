@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import copy
+import sys
 import threading
 
 import pytest
@@ -836,6 +837,132 @@ class TestInvalidateInflightRace:
         refreshed = service.submit(queries[0])
         assert refreshed.details["result_cache"] == "miss"
         assert service.submit(queries[0]).details["result_cache"] == "hit"
+
+
+# ----------------------------------------------------------------------------------------
+# The epoch map stays within the resident fingerprints
+# ----------------------------------------------------------------------------------------
+
+def _live_corpus(tag: str):
+    return compress_corpus(
+        Corpus.from_texts({f"{tag}.txt": f"{tag} epochs retire {tag} fingerprints " * 3})
+    )
+
+
+class TestEpochMapBound:
+    def test_appends_to_one_corpus_keep_the_map_bounded(self):
+        corpus = _live_corpus("probe")
+        service = AnalyticsService()
+        for step in range(1, 401):
+            corpus.append_files({f"more-{step}.txt": f"fresh w{step} tokens"})
+            service.submit(Query(task=Task.WORD_COUNT), source=corpus)
+            if step in (100, 200, 400):
+                assert service.resident_sessions == 1
+                assert len(service._results) == 1
+                assert len(service._uid_versions) == 1
+                assert len(service._epochs) <= 1, step
+        expected = GTadoc(compress_corpus(corpus.decompress())).run(Task.WORD_COUNT).result
+        assert service.submit(Query(task=Task.WORD_COUNT), source=corpus).result == expected
+
+    def test_a_rising_floor_does_not_age_live_sessions(self):
+        steady, live = _live_corpus("steady"), _live_corpus("live")
+        service = AnalyticsService()
+        service.submit(Query(task=Task.WORD_COUNT), source=steady)
+        for step in range(6):
+            live.append_files({f"more-{step}.txt": f"fresh w{step} tokens"})
+            service.submit(Query(task=Task.WORD_COUNT), source=live)
+        assert service._epoch_floor > 0
+        before = service.stats().session_cache
+        outcome = service.submit(Query(task=Task.SORT, top_k=3), source=steady)
+        after = service.stats().session_cache
+        assert outcome.details["result_cache"] == "miss"
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_write_back_captured_before_a_pruned_retirement_fails(self):
+        corpus = _live_corpus("race")
+        executing = threading.Event()
+        proceed = threading.Event()
+
+        class BlockingService(AnalyticsService):
+            def _execute_batch(self, entry, batch):
+                if not executing.is_set():  # only the first batch is held
+                    executing.set()
+                    proceed.wait()
+                super()._execute_batch(entry, batch)
+
+        service = BlockingService()
+        retired = corpus.fingerprint()
+        worker = threading.Thread(
+            target=service.submit, args=(Query(task=Task.SORT),), kwargs={"source": corpus}
+        )
+        worker.start()
+        executing.wait()
+        try:
+            # The next epoch's query retires the old fingerprint and, with
+            # nothing left resident under it, prunes it from the map.
+            corpus.append_files({"late.txt": "late tokens"})
+            service.submit(Query(task=Task.WORD_COUNT), source=corpus)
+            assert retired not in service._epochs
+        finally:
+            proceed.set()
+            worker.join()
+        assert all(key[0][0] != retired for key in service._results.keys())
+        assert len(service._results) == 1
+
+    def test_stress_retirements_race_readers(self):
+        live, steady = _live_corpus("churn"), _live_corpus("calm")
+        query = Query(task=Task.WORD_COUNT)
+
+        def fresh_answer(corpus):
+            return GTadoc(compress_corpus(corpus.decompress())).run(Task.WORD_COUNT).result
+
+        valid = [fresh_answer(live)]
+        steady_answer = fresh_answer(steady)
+        service = AnalyticsService(service_config=ServiceConfig(max_sessions=2, result_cache_capacity=8))
+        stop = threading.Event()
+        answers, errors = [], []
+
+        def read() -> None:
+            try:
+                while not stop.is_set():
+                    answers.append(service.submit(query, source=live).result)
+                    assert service.submit(query, source=steady).result == steady_answer
+            except BaseException as error:  # pragma: no cover - diagnostic
+                errors.append(error)
+
+        def invalidate() -> None:
+            try:
+                for _ in range(10):
+                    service.invalidate(steady)
+            except BaseException as error:  # pragma: no cover - diagnostic
+                errors.append(error)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=read) for _ in range(6)]
+        try:
+            for thread in readers:
+                thread.start()
+            for step in range(12):
+                live.append_files({f"churn-{step}.txt": f"churn w{step} tokens"})
+                valid.append(fresh_answer(live))
+                invalidators = [threading.Thread(target=invalidate) for _ in range(2)]
+                for thread in invalidators:
+                    thread.start()
+                for thread in invalidators:
+                    thread.join(timeout=60)
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(timeout=60)
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in readers)
+        assert not errors
+        assert answers and all(answer in valid for answer in answers)
+        # Each of the 240 invalidations retired the fingerprint once more.
+        assert service._epoch_of(steady.fingerprint()) >= 240
+        assert len(service._epochs) <= 2 + 8
+        assert service.submit(query, source=live).result == valid[-1]
 
 
 # ----------------------------------------------------------------------------------------

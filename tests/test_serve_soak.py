@@ -132,6 +132,8 @@ def test_long_mutating_multi_corpus_trace_stays_bounded(monkeypatch):
             assert len(core._results) <= CONFIG.result_cache_capacity
             assert len(core._corpus_memo) <= CONFIG.corpus_memo_capacity
             assert len(core._uid_versions) <= TRACKED_UIDS
+            # Epochs are kept only for fingerprints with resident entries.
+            assert len(core._epochs) <= CONFIG.max_sessions + CONFIG.result_cache_capacity
             assert core._coalescer._groups == {}
         assert len(sharded._corpus_memo) <= CONFIG.corpus_memo_capacity
         assert len(sharded._routing_alias) <= SHARDED.max_tracked_corpora

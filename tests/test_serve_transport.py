@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -41,8 +42,10 @@ from repro.serve import (
     replay_trace,
     synthesize_trace,
 )
+from repro.serve import transport as transport_module
 from repro.serve import wire, worker
 from repro.serve.trace import MutationEvent, default_relational_specs
+from tests.test_serve import _assert_type_exact
 
 
 def _corpus(tag: str = "base") -> Corpus:
@@ -548,6 +551,86 @@ class TestForkServer:
                 transport._roundtrip(("ping", None))
         finally:
             transport.close()
+
+
+    def test_sigkilled_worker_reports_its_exit_code(self):
+        transport = create_transport(
+            "process",
+            shard_id=989,
+            name="sigkill",
+            engine_config=None,
+            service_config=ServiceConfig(),
+            workers=1,
+        )
+        try:
+            assert transport._roundtrip(("ping", None)) == "pong"
+            # Killed from outside: nothing joins the worker before the
+            # broken pipe reports it.
+            os.kill(transport._process.pid, signal.SIGKILL)
+            with pytest.raises(ShardFailure, match="exitcode -9"):
+                transport._roundtrip(("ping", None))
+        finally:
+            transport.close()
+
+
+# ----------------------------------------------------------------------------------------
+# Results cross as their snapshots
+# ----------------------------------------------------------------------------------------
+
+def _leaky_worker_main(conn, name, engine_config, service_config):
+    """``worker_main`` with a shaper that leaks a numpy scalar into word counts."""
+    import numpy as np
+
+    from repro.serve import service as service_module
+
+    shape = service_module.shape_result
+
+    def leaky(query, output):
+        result = shape(query, output)
+        if query.task is Task.WORD_COUNT:
+            word = next(iter(result))
+            result[word] = np.int64(result[word])
+        return result
+
+    service_module.shape_result = leaky
+    worker.worker_main(conn, name, engine_config, service_config)
+
+
+class TestSnapshotCrossing:
+    @pytest.mark.parametrize("dataset", list("ABCDE"))
+    def test_outcomes_are_type_exact_with_in_process_ones(self, dataset_compressed, dataset):
+        compressed = dataset_compressed[dataset]
+        queries = [Query(task=task) for task in Task if task is not Task.RELATIONAL] + [
+            Query(task=Task.RELATIONAL, extras={"relational": spec})
+            for spec in default_relational_specs()
+        ]
+        local = AnalyticsService(compressed)
+        # One owner per corpus, so the second round finds the first's entries.
+        with _pool("process", replication_factor=1) as pool:
+            # The first round ships misses, the second the cached snapshots.
+            for cache in ("miss", "hit"):
+                for query in queries:
+                    got = pool.submit(query, source=compressed)
+                    want = local.submit(query)
+                    assert got.details["result_cache"] == cache
+                    assert want.details["result_cache"] == cache
+                    _assert_type_exact(
+                        got.result, want.result, f"{dataset} {query.describe()} {cache}"
+                    )
+            assert pool.stats().refused_replies == 0
+
+    def test_numpy_scalar_leak_is_a_typed_counted_error(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "worker_main", _leaky_worker_main)
+        compressed = compress_corpus(_corpus("leak"))
+        with _pool("process") as service:
+            for _ in range(2):  # the miss, then the cached hit
+                with pytest.raises(wire.WireError, match="refuses global numpy"):
+                    service.submit(Query(task=Task.WORD_COUNT), source=compressed)
+            # The worker serves on: a refused reply is not a shard failure.
+            assert service.submit(Query(task=Task.SORT, top_k=3), source=compressed).result
+            stats = service.stats()
+            assert stats.refused_replies == 2
+            assert stats.shard_failures == 0
 
 
 # ----------------------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Wire-codec tests: every serving data-plane type crosses the process
 boundary losslessly, frames verify their integrity, the codec stays
-closed (unknown types fail loudly instead of degrading), and every
-malformed body is a ``WireError``."""
+closed (unknown types fail loudly instead of degrading), every
+malformed body is a ``WireError``, the compiled opcode check agrees
+with the reference walk, and results cross as their cached snapshots."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ import builtins
 import functools
 import os
 import pickle
+import pickletools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from repro.compression.compressor import compress_corpus
 from repro.core.session import GTadocConfig
 from repro.core.strategy import TraversalStrategy
 from repro.data.corpus import Corpus
+from repro.data.generators import generate_dataset
 from repro.relational.spec import (
     Aggregate,
     Condition,
@@ -29,10 +33,11 @@ from repro.relational.spec import (
     RelationalQuery,
     RowSchema,
 )
-from repro.serve import AnalyticsService, TraceConfig, synthesize_trace
-from repro.serve import wire
+from repro.serve import AnalyticsService, ServiceConfig, TraceConfig, synthesize_trace
+from repro.serve import wire, worker
 from repro.serve.caches import CacheStats
 from repro.serve.trace import MutationEvent
+from tests.test_serve import _assert_type_exact
 
 
 def roundtrip(value):
@@ -236,28 +241,70 @@ class TestTraceSpaceProperty:
             assert type(decoded) is type(item)
 
 
+def reference_check_opcodes(body: bytes) -> None:
+    """The opcode walk ``wire._check_opcodes`` replaced, one opcode per step.
+
+    It is the reference the compiled check must match: the same bodies
+    accepted, and the same ``WireError`` message for every refused one.
+    """
+    index, end = 0, len(body)
+    while index < end:
+        opcode = body[index]
+        step = wire._STEPS[opcode]
+        if step:
+            index += step
+        elif step is None:
+            raise wire.WireError(f"opcode {opcode:#04x} at byte {index} is not in the wire format")
+        elif opcode == pickle.STOP[0]:
+            if index + 1 != end:
+                raise wire.WireError(f"{end - index - 1} bytes follow the body's STOP")
+            return
+        else:
+            start = index + 1 + wire._PREFIX_WIDTHS[opcode]
+            index = start + int.from_bytes(body[index + 1:start], "little")
+    raise wire.WireError("truncated body: no STOP within the frame")
+
+
+def _verdict(check, body: bytes):
+    """``None`` if ``check`` accepts ``body``, else its ``WireError`` message."""
+    try:
+        check(body)
+    except wire.WireError as error:
+        return str(error)
+    return None
+
+
 @functools.lru_cache(maxsize=None)
 def _real_bodies():
-    """Frame bodies of the messages a process shard exchanges."""
+    """Bodies of the messages a process shard exchanges, small and large.
+
+    The large ones span several of the check's windows: a whole ranked
+    inverted index of a generated dataset, its result snapshot, and the
+    dataset's corpus snapshot.
+    """
     compressed = compress_corpus(
         Corpus.from_texts({"a.txt": "alpha beta gamma " * 30, "b.txt": "beta delta " * 25})
     )
     service = AnalyticsService()
     outcome = service.submit(Query(task=Task.INVERTED_INDEX, top_k=3), source=compressed)
     relational = Query(task=Task.RELATIONAL, extras={"relational": RELATIONAL})
+    dataset = compress_corpus(generate_dataset("C", scale=0.05))
+    whole = service.submit(Query(task=Task.RANKED_INVERTED_INDEX), source=dataset)
     messages = [
         ("ok", outcome),
         ("ok", service.stats()),
         ("snapshot", wire.corpus_snapshot(compressed)),
         ("submit", {"uid": compressed.uid, "query": relational, "engine_config": GTadocConfig()}),
+        ("ok", whole),
+        ("snapshot", wire.corpus_snapshot(dataset)),
     ]
-    return [wire.encode_frame(message)[4:] for message in messages]
+    return [wire.encode_frame(message)[4:] for message in messages] + [whole.snapshot]
 
 
 @st.composite
 def malformed_bodies(draw):
     body = bytearray(draw(st.sampled_from(_real_bodies())))
-    how = draw(st.sampled_from(("truncate", "flip", "random")))
+    how = draw(st.sampled_from(("truncate", "flip", "extend", "random")))
     if how == "truncate":
         return bytes(body[: draw(st.integers(0, len(body) - 1))])
     if how == "flip":
@@ -267,6 +314,8 @@ def malformed_bodies(draw):
         ):
             body[position] ^= mask
         return bytes(body)
+    if how == "extend":
+        return bytes(body) + draw(st.binary(min_size=1, max_size=64))
     return draw(st.binary(max_size=256))
 
 
@@ -281,6 +330,107 @@ class TestMalformedBodies:
             wire.decode_frame(framed(body))
         except wire.WireError:
             pass
+
+
+class TestOpcodeCheck:
+    """The compiled check accepts and refuses exactly what the reference
+    walk does, with the same messages, in bounded memory."""
+
+    def test_real_bodies_are_accepted(self):
+        for body in _real_bodies():
+            assert _verdict(wire._check_opcodes, body) is None
+            assert _verdict(reference_check_opcodes, body) is None
+        assert max(len(body) for body in _real_bodies()) > 4 * wire._WINDOW
+
+    @settings(max_examples=400, deadline=None)
+    @given(body=malformed_bodies())
+    def test_check_matches_the_reference_walk(self, body):
+        assert _verdict(wire._check_opcodes, body) == _verdict(reference_check_opcodes, body)
+
+    @pytest.mark.parametrize("size", range(254, 259))
+    def test_strings_across_a_window_edge(self, size):
+        # A string token straddles the first window's edge at every offset.
+        body = wire.encode_frame(["x" * (wire._WINDOW - 16 - size), "y" * size, 7])[4:]
+        for cut in range(len(body) + 1):
+            assert _verdict(wire._check_opcodes, body[:cut]) == _verdict(
+                reference_check_opcodes, body[:cut]
+            )
+
+    def test_memory_stays_bounded_on_a_large_body(self):
+        body = wire.encode_frame(list(range(150_000)))[4:]
+        assert sum(1 for _ in pickletools.genops(body)) > 100_000
+        tracemalloc.start()
+        try:
+            wire._check_opcodes(body)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestResultCrossing:
+    """A shard's reply carries each result as its cached snapshot."""
+
+    QUERY = Query(task=Task.RANKED_INVERTED_INDEX)
+
+    def _host(self):
+        host = worker.ShardHost("crossing", None, ServiceConfig())
+        compressed = compress_corpus(generate_dataset("C", scale=0.05))
+        host.handle("snapshot", wire.corpus_snapshot(compressed))
+        return host, {"uid": compressed.uid, "query": self.QUERY, "engine_config": None}
+
+    @staticmethod
+    def _cached_snapshot(host):
+        (entry,) = host.service._results._entries.values()
+        return entry.value.snapshot
+
+    def test_hit_frame_ships_the_cache_entry_bytes_undecoded(self, monkeypatch):
+        host, payload = self._host()
+        miss = host.handle("submit", payload)
+        cached = self._cached_snapshot(host)
+        decoded = []
+        loads = pickle.loads
+        monkeypatch.setattr(pickle, "loads", lambda data, **kw: decoded.append(data) or loads(data, **kw))
+        hit = host.handle("submit", payload)
+        frame = wire.encode_frame(("ok", hit))
+        assert hit.details["result_cache"] == "hit"
+        assert decoded == []
+        assert "result" not in vars(hit)
+        assert hit.snapshot is cached
+        assert cached in frame
+        status, received = wire.decode_frame(frame)
+        assert status == "ok"
+        assert received.snapshot == cached
+        _assert_type_exact(received.result, miss.result, "hit")
+
+    def test_miss_pickles_its_result_once(self, monkeypatch):
+        host, payload = self._host()
+        pickled = []
+        dumps = pickle.dumps
+        monkeypatch.setattr(pickle, "dumps", lambda obj, **kw: pickled.append(obj) or dumps(obj, **kw))
+        miss = host.handle("submit", payload)
+        frame = wire.encode_frame(("ok", miss))
+        assert len(pickled) == 1 and pickled[0] is miss.result
+        cached = self._cached_snapshot(host)
+        assert miss.snapshot is cached
+        # The frame is that snapshot plus the outcome's small fields.
+        assert frame.count(cached) == 1
+        assert len(frame) < len(cached) + 1024
+        _assert_type_exact(wire.decode_frame(frame)[1].result, miss.result, "miss")
+
+    def test_bad_snapshot_is_a_wire_error_at_the_boundary(self):
+        host, payload = self._host()
+        miss = host.handle("submit", payload)
+        for snapshot, message in [
+            (pickle.dumps({"count": np.int64(3)}, protocol=5), "refuses global numpy"),
+            (miss.snapshot[:-1], "truncated body"),
+            (miss.snapshot + b"x", "follow the body's STOP"),
+        ]:
+            bad = RunOutcome.from_snapshot(
+                snapshot, query=self.QUERY, backend="serve", task=self.QUERY.task
+            )
+            with pytest.raises(wire.WireError, match=message):
+                wire.decode_frame(wire.encode_frame(("ok", bad)))
 
 
 class TestCorpusShipping:
