@@ -81,8 +81,8 @@ class CpuTadoc:
         counter = CostCounter()
         layout = self.layout
         total_symbols = layout.total_symbols
-        terminal_entries = sum(len(words) for words in layout.local_words)
-        edge_entries = sum(len(children) for children in layout.subrules)
+        terminal_entries = len(layout.lw_keys)
+        edge_entries = len(layout.sr_child)
         counter.charge(
             compute_ops=wc.SYMBOL_VISIT_OPS * total_symbols
             + wc.EDGE_VISIT_OPS * edge_entries
@@ -104,8 +104,8 @@ class CpuTadoc:
     def _rule_weights(self, counter: CostCounter) -> List[int]:
         """Top-down occurrence weights (Figure 2's propagation), sequentially."""
         layout = self.layout
-        weights = list(layout.rule_weights)  # functional values
-        edge_entries = sum(len(children) for children in layout.subrules)
+        weights = layout.rule_weights.tolist()  # functional values
+        edge_entries = len(layout.sr_child)
         counter.charge(
             compute_ops=(wc.EDGE_VISIT_OPS + wc.WEIGHT_UPDATE_OPS) * edge_entries,
             memory_bytes=wc.EDGE_VISIT_BYTES * edge_entries,
@@ -121,7 +121,7 @@ class CpuTadoc:
             weight = weights[rule_id]
             if weight == 0:
                 continue
-            local = layout.local_words[rule_id]
+            local = layout.local_words(rule_id)
             counter.charge(
                 compute_ops=wc.SYMBOL_VISIT_OPS * len(local),
                 memory_bytes=wc.SYMBOL_VISIT_BYTES * len(local),
@@ -141,8 +141,8 @@ class CpuTadoc:
         """
         layout = self.layout
         file_weights: List[Dict[int, int]] = [dict() for _ in range(layout.num_rules)]
-        for file_index, per_file_freq in enumerate(layout.root_subrule_freq_per_file):
-            for child, count in per_file_freq.items():
+        for file_index in range(layout.num_files):
+            for child, count in layout.root_subrules(file_index):
                 counter.charge(compute_ops=wc.WEIGHT_UPDATE_OPS, memory_bytes=8.0)
                 file_weights[child][file_index] = (
                     file_weights[child].get(file_index, 0) + count
@@ -151,7 +151,7 @@ class CpuTadoc:
             if rule_id == 0:
                 continue
             own = file_weights[rule_id]
-            for child, frequency in layout.subrules[rule_id]:
+            for child, frequency in layout.subrules(rule_id):
                 child_weights = file_weights[child]
                 counter.charge(
                     compute_ops=wc.EDGE_VISIT_OPS,
@@ -164,16 +164,17 @@ class CpuTadoc:
                     )
 
         per_file: List[Dict[int, int]] = [dict() for _ in range(layout.num_files)]
-        for file_index, root_words in enumerate(layout.root_words_per_file):
+        for file_index in range(layout.num_files):
+            root_words = layout.root_words(file_index)
             counter.charge(hash_ops=float(len(root_words)))
             result = per_file[file_index]
-            for word_id, count in root_words.items():
+            for word_id, count in root_words:
                 result[word_id] = result.get(word_id, 0) + count
         for rule_id in range(1, layout.num_rules):
             weights = file_weights[rule_id]
             if not weights:
                 continue
-            local = layout.local_words[rule_id]
+            local = layout.local_words(rule_id)
             counter.charge(
                 compute_ops=wc.SYMBOL_VISIT_OPS * len(local),
                 memory_bytes=wc.SYMBOL_VISIT_BYTES * len(local),

@@ -14,7 +14,6 @@ scripts turn into the paper's figures.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -128,17 +127,6 @@ class BatchAmortization:
     sequential_init_ops: float
     batch_init_ops: float
     results_match: bool
-    #: Measured wall-clock seconds of the fresh per-task runs (summed)
-    #: and of the one batched execution, as recorded when each first ran.
-    sequential_elapsed_seconds: float = 0.0
-    batch_elapsed_seconds: float = 0.0
-
-    @property
-    def wall_clock_speedup(self) -> float:
-        """Measured sequential seconds over batched seconds."""
-        if self.batch_elapsed_seconds <= 0:
-            return float("inf") if self.sequential_elapsed_seconds > 0 else 0.0
-        return self.sequential_elapsed_seconds / self.batch_elapsed_seconds
 
     @property
     def launch_reduction(self) -> float:
@@ -164,13 +152,6 @@ class ExperimentRunner:
         self._gtadoc_runs: Dict[Tuple[str, Task, Optional[TraversalStrategy]], GTadocRunResult] = {}
         self._gtadoc_batches: Dict[
             Tuple[str, Tuple[Task, ...], Optional[TraversalStrategy]], GTadocBatchResult
-        ] = {}
-        #: Measured wall-clock seconds of each cached run/batch (keyed as above).
-        self._gtadoc_run_seconds: Dict[
-            Tuple[str, Task, Optional[TraversalStrategy]], float
-        ] = {}
-        self._gtadoc_batch_seconds: Dict[
-            Tuple[str, Tuple[Task, ...], Optional[TraversalStrategy]], float
         ] = {}
         self._cpu_runs: Dict[Tuple[str, Task], CpuTadocRunResult] = {}
         self._distributed_runs: Dict[Tuple[str, Task], DistributedRunResult] = {}
@@ -239,10 +220,7 @@ class ExperimentRunner:
     ) -> GTadocRunResult:
         cache_key = (key, task, traversal)
         if cache_key not in self._gtadoc_runs:
-            backend = self.backend(key, "gtadoc")
-            started = time.perf_counter()
-            outcome = backend.run(Query(task=task, traversal=traversal))
-            self._gtadoc_run_seconds[cache_key] = time.perf_counter() - started
+            outcome = self.backend(key, "gtadoc").run(Query(task=task, traversal=traversal))
             self._gtadoc_runs[cache_key] = outcome.raw
         return self._gtadoc_runs[cache_key]
 
@@ -261,10 +239,9 @@ class ExperimentRunner:
         cache_key = (key, tasks, traversal)
         if cache_key not in self._gtadoc_batches:
             engine = self.gtadoc_engine(key)
-            started = time.perf_counter()
-            batch = engine.run_batch(tasks, traversal=traversal, session=engine.session.fresh())
-            self._gtadoc_batch_seconds[cache_key] = time.perf_counter() - started
-            self._gtadoc_batches[cache_key] = batch
+            self._gtadoc_batches[cache_key] = engine.run_batch(
+                tasks, traversal=traversal, session=engine.session.fresh()
+            )
         return self._gtadoc_batches[cache_key]
 
     def batch_amortization(
@@ -304,10 +281,6 @@ class ExperimentRunner:
             sequential_init_ops=sequential_init_ops,
             batch_init_ops=batch.init_record.total_ops,
             results_match=results_match,
-            sequential_elapsed_seconds=sum(
-                self._gtadoc_run_seconds.get((key, task, None), 0.0) for task in tasks
-            ),
-            batch_elapsed_seconds=self._gtadoc_batch_seconds.get((key, tasks, None), 0.0),
         )
 
     def cpu_tadoc_run(self, key: str, task: Task) -> CpuTadocRunResult:

@@ -138,11 +138,3 @@ class GrammarDAG:
             avg_rule_length=(sum(lengths) / len(lengths)) if lengths else 0.0,
             middle_layer_nodes=middle,
         )
-
-    def subrule_frequency_lists(self) -> List[List[Tuple[int, int]]]:
-        """Per-rule ``[(child id, multiplicity), ...]`` lists (device layout input)."""
-        return [list(self.children[rule_id]) for rule_id in range(len(self.grammar))]
-
-    def parent_lists(self) -> List[List[int]]:
-        """Per-rule parent id lists (ignoring multiplicity)."""
-        return [[parent for parent, _count in self.parents[rule_id]] for rule_id in range(len(self.grammar))]

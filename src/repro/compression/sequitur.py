@@ -170,7 +170,6 @@ class _SequiturSymbol:
             # Register the new rule body's single digram last, as in the
             # reference implementation.
             self.encoder._digrams[rule.first().digram_key()] = rule.first()
-            self.encoder._rules.append(rule)
         # Rule utility: inline a sub-rule that is now used only once.
         first = rule.first()
         if first.is_nonterminal and first.rule.reference_count == 1:
@@ -196,13 +195,10 @@ class _SequiturSymbol:
         right = self.next
         body_first = self.rule.first()
         body_last = self.rule.last()
-        dead_rule = self.rule
         self.delete_digram()
         left.join(body_first)
         body_last.join(right)
         self.encoder._digrams[(body_last.value(), right.value())] = body_last
-        dead_rule.reference_count = 0
-        self.encoder._dead_rules.add(dead_rule.number)
 
 
 class SequiturEncoder:
@@ -217,8 +213,6 @@ class SequiturEncoder:
 
     def __init__(self) -> None:
         self._digrams: Dict[Tuple[Hashable, Hashable], _SequiturSymbol] = {}
-        self._rules: List[_SequiturRule] = []
-        self._dead_rules: set = set()
         self._rule_counter = 0
         self._start: Optional[_SequiturRule] = None
 
@@ -305,27 +299,31 @@ class SequiturEncoder:
         return all(rule.reference_count >= 2 for rule in self._live_rules() if rule is not self._start)
 
     def _live_rules(self) -> List[_SequiturRule]:
-        assert self._start is not None
-        live = [self._start]
-        live.extend(r for r in self._rules if r.number not in self._dead_rules and r.reference_count > 0)
-        return live
+        """The rules reachable from the start rule, in discovery (DFS preorder) order.
 
-    # -- conversion to the immutable Grammar -------------------------------------------
-    def _build_grammar(self) -> Grammar:
+        A rule that rule utility inlined is unreachable, so the encoder
+        keeps no reference to it and the collector frees it.
+        """
         assert self._start is not None
-        # Assign dense ids in discovery (DFS preorder) order starting at the root.
-        id_of: Dict[int, int] = {self._start.number: 0}
+        seen = {self._start.number}
         ordered: List[_SequiturRule] = [self._start]
         stack: List[_SequiturRule] = [self._start]
         while stack:
             rule = stack.pop()
             symbol = rule.first()
             while not symbol.is_guard:
-                if symbol.is_nonterminal and symbol.rule.number not in id_of:
-                    id_of[symbol.rule.number] = len(ordered)
+                if symbol.is_nonterminal and symbol.rule.number not in seen:
+                    seen.add(symbol.rule.number)
                     ordered.append(symbol.rule)
                     stack.append(symbol.rule)
                 symbol = symbol.next
+        return ordered
+
+    # -- conversion to the immutable Grammar -------------------------------------------
+    def _build_grammar(self) -> Grammar:
+        # Dense ids follow discovery order, starting at the root.
+        ordered = self._live_rules()
+        id_of = {rule.number: dense_id for dense_id, rule in enumerate(ordered)}
         rules: List[Rule] = []
         for dense_id, seq_rule in enumerate(ordered):
             body: List[int] = []

@@ -214,22 +214,21 @@ def compute_grammar_delta(
     ]
 
     tail_sources: Dict[int, Dict[int, int]] = {}
-    for element in new_layout.root_elements:
-        if element.position < len(old_root) or not element.is_rule:
-            continue
-        if element.file_index < old_layout.num_files:
-            return None  # tail content attributed to an old file: not an append
-        child = rule_ref_id(element.symbol)
-        per_file = tail_sources.setdefault(child, {})
-        per_file[element.file_index] = per_file.get(element.file_index, 0) + 1
+    for file_index, (start, end) in enumerate(new_layout.root_segments):
+        for symbol in new_root[max(start, len(old_root)) : end]:
+            if not is_rule_ref(symbol):
+                continue
+            if file_index < old_layout.num_files:
+                return None  # tail content attributed to an old file: not an append
+            per_file = tail_sources.setdefault(rule_ref_id(symbol), {})
+            per_file[file_index] = per_file.get(file_index, 0) + 1
 
     # Weight-touched rules: everything reachable from the tail's direct
     # references, visited top-down so one sequential pass can propagate.
     touched = set(tail_sources)
     for rule_id in reversed(new_bottom_up):
         if rule_id in touched:
-            for child, _frequency in new_layout.subrules[rule_id]:
-                touched.add(child)
+            touched.update(child for child, _frequency in new_layout.subrules(rule_id))
     touched_topdown = [
         rule_id for rule_id in reversed(new_bottom_up) if rule_id in touched and rule_id != 0
     ]
@@ -261,7 +260,7 @@ def delta_prep(delta: GrammarDelta, device: GPUDevice) -> bool:
     def prep_kernel(tid: int, ctx) -> None:
         if tid >= len(changed):
             return
-        length = layout.rule_lengths[changed[tid]]
+        length = int(layout.rule_lengths[changed[tid]])
         ctx.charge(
             ops=wc.SYMBOL_VISIT_OPS * length + wc.MASK_CHECK_OPS,
             memory_bytes=wc.SYMBOL_VISIT_BYTES * length,
@@ -285,9 +284,9 @@ def delta_bounds(
         if tid >= len(changed):
             return
         rule_id = changed[tid]
-        bound = len(layout.local_words[rule_id])
+        bound = int(layout.lw_count[rule_id])
         ctx.charge(ops=wc.SYMBOL_VISIT_OPS, memory_bytes=8.0)
-        for child, _frequency in layout.subrules[rule_id]:
+        for child, _frequency in layout.subrules(rule_id):
             ctx.charge(ops=wc.EDGE_VISIT_OPS, memory_bytes=wc.EDGE_VISIT_BYTES)
             bound += bounds[child]
         bounds[rule_id] = min(bound, layout.vocabulary_size)
@@ -312,10 +311,10 @@ def delta_local_tables(
             return
         rule_id = changed[tid]
         table = tables[rule_id]
-        for word_id, count in layout.local_words[rule_id]:
+        for word_id, count in layout.local_words(rule_id):
             ctx.charge(ops=wc.HASH_UPDATE_OPS, memory_bytes=wc.HASH_UPDATE_BYTES)
             table[word_id] = table.get(word_id, 0) + count
-        for child, frequency in layout.subrules[rule_id]:
+        for child, frequency in layout.subrules(rule_id):
             ctx.charge(ops=wc.EDGE_VISIT_OPS, memory_bytes=wc.EDGE_VISIT_BYTES)
             for word_id, count in tables[child].items():
                 ctx.charge(ops=wc.HASH_UPDATE_OPS, memory_bytes=wc.HASH_UPDATE_BYTES)
@@ -349,7 +348,7 @@ def delta_rule_weights(
         if increment == 0:
             return
         weights[rule_id] += increment
-        for child, frequency in layout.subrules[rule_id]:
+        for child, frequency in layout.subrules(rule_id):
             ctx.charge(ops=wc.EDGE_VISIT_OPS, memory_bytes=wc.EDGE_VISIT_BYTES)
             increments[child] = increments.get(child, 0) + frequency * increment
 
@@ -383,7 +382,7 @@ def delta_file_weights(
         for file_index, weight in own.items():
             ctx.charge(ops=wc.WEIGHT_UPDATE_OPS, memory_bytes=8.0)
             table[file_index] = table.get(file_index, 0) + weight
-        for child, frequency in layout.subrules[rule_id]:
+        for child, frequency in layout.subrules(rule_id):
             ctx.charge(ops=wc.EDGE_VISIT_OPS, memory_bytes=wc.EDGE_VISIT_BYTES)
             child_increments = increments.setdefault(child, {})
             for file_index, weight in own.items():
@@ -433,11 +432,12 @@ def delta_sequence_buffers(
             # changed is children-first, so every input is ready by now.
             return
         short: Optional[List[int]] = None
-        if layout.expansion_lengths[rule_id] <= short_limit:
+        expansion_length = int(layout.expansion_lengths[rule_id])
+        if expansion_length <= short_limit:
             short = _gather_prefix(
                 layout,
                 rule_id,
-                layout.expansion_lengths[rule_id],
+                expansion_length,
                 heads,
                 short_expansions,
                 ready,

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
+from repro.compression.grammar import is_rule_ref, rule_ref_id
 from repro.core.layout import DeviceRuleLayout
 
 __all__ = ["ThreadAssignment", "FineGrainedScheduler", "VerticalPartitioningScheduler"]
@@ -73,7 +74,7 @@ class FineGrainedScheduler:
         if not self._group_sizes:
             limit = self.oversize_threshold * max(1.0, self.layout.average_rule_length)
             sizes = []
-            for length in self.layout.rule_lengths:
+            for length in self.layout.rule_lengths.tolist():
                 if length <= limit:
                     sizes.append(1)
                 else:
@@ -90,7 +91,7 @@ class FineGrainedScheduler:
         assignments: List[ThreadAssignment] = []
         thread_id = 0
         for rule_id in rule_ids:
-            length = self.layout.rule_lengths[rule_id]
+            length = int(self.layout.rule_lengths[rule_id])
             group = self.group_size_for(rule_id)
             if group == 1 or length == 0:
                 assignments.append(
@@ -178,10 +179,14 @@ class VerticalPartitioningScheduler:
             raise ValueError("num_partitions must be >= 1")
         self.layout = layout
         self.num_partitions = num_partitions
+        #: The root elements: the root body's symbols inside file segments,
+        #: which leaves out exactly the splitters.
+        root = layout.root_symbols
+        self.elements = [symbol for start, end in layout.root_segments for symbol in root[start:end]]
 
     def partition_root(self) -> List[List[int]]:
-        """Split root element positions into ``num_partitions`` contiguous slices."""
-        elements = self.layout.root_elements
+        """Split root element indices into ``num_partitions`` contiguous slices."""
+        elements = self.elements
         if not elements:
             return [[] for _ in range(self.num_partitions)]
         per_partition = max(1, (len(elements) + self.num_partitions - 1) // self.num_partitions)
@@ -194,20 +199,15 @@ class VerticalPartitioningScheduler:
 
     def reachable_rules(self, element_positions: Sequence[int]) -> List[int]:
         """Rules reachable from the given root elements (repetition collapsed)."""
+        elements = self.elements
         seen = set()
-        stack: List[int] = []
-        for position in element_positions:
-            element = self.layout.root_elements[position]
-            if element.is_rule:
-                from repro.compression.grammar import rule_ref_id
-
-                stack.append(rule_ref_id(element.symbol))
+        stack = [rule_ref_id(elements[i]) for i in element_positions if is_rule_ref(elements[i])]
         while stack:
             rule_id = stack.pop()
             if rule_id in seen:
                 continue
             seen.add(rule_id)
-            for child, _count in self.layout.subrules[rule_id]:
+            for child, _count in self.layout.subrules(rule_id):
                 if child not in seen:
                     stack.append(child)
         return sorted(seen)

@@ -57,6 +57,8 @@ __all__ = [
     "build_sequence_buffers",
     "sequence_counts",
     "head_tail_upper_limit",
+    "head_tail_allocations",
+    "allocate_head_tail_buffers",
 ]
 
 #: Skeleton marker for the unmaterialised middle of a long sub-rule.
@@ -66,6 +68,33 @@ _GAP = None
 def head_tail_upper_limit(rule_length: int, num_subrules: int, sequence_length: int) -> int:
     """Equation 1: upper limit of the per-rule sequence buffer space."""
     return rule_length + (sequence_length - 1) * num_subrules - (sequence_length - 1)
+
+
+def head_tail_allocations(
+    layout: DeviceRuleLayout, sequence_length: int
+) -> List[Tuple[str, int]]:
+    """Pool owner and size in words of every non-root rule's head/tail buffer.
+
+    Owners are length-qualified so a session can keep buffers for
+    several sequence lengths in one pool.
+    """
+    limit = max(0, sequence_length - 1)
+    lengths, degrees = layout.rule_lengths.tolist(), layout.sr_count.tolist()
+    allocations = []
+    for rule_id in range(1, layout.num_rules):
+        upper = head_tail_upper_limit(lengths[rule_id], degrees[rule_id], sequence_length)
+        owner = f"headTail[l={sequence_length}][{rule_id}]"
+        allocations.append((owner, max(1, 2 * limit + max(0, upper))))
+    return allocations
+
+
+def allocate_head_tail_buffers(
+    memory_pool: MemoryPool, layout: DeviceRuleLayout, sequence_length: int
+) -> None:
+    """Carve one length's head/tail buffers out of the pool (idempotent)."""
+    for owner, words in head_tail_allocations(layout, sequence_length):
+        if memory_pool.allocation_of(owner) is None:
+            memory_pool.allocate(owner, words)
 
 
 @dataclass
@@ -155,18 +184,10 @@ def build_sequence_buffers(
     ready[0] = True
     heads[0] = []
     tails[0] = []
+    expansion_lengths = layout.expansion_lengths.tolist()
 
     if memory_pool is not None:
-        # Owners are length-qualified and allocation is idempotent so a
-        # session can keep buffers for several sequence lengths in one pool.
-        for rule_id in range(1, num_rules):
-            owner = f"headTail[l={sequence_length}][{rule_id}]"
-            if memory_pool.allocation_of(owner) is not None:
-                continue
-            upper = head_tail_upper_limit(
-                layout.rule_lengths[rule_id], len(layout.subrules[rule_id]), sequence_length
-            )
-            memory_pool.allocate(owner, max(1, 2 * limit + max(0, upper)))
+        allocate_head_tail_buffers(memory_pool, layout, sequence_length)
 
     rounds = 0
     while not all(ready):
@@ -188,11 +209,11 @@ def build_sequence_buffers(
             if tail is None:
                 return
             short: Optional[List[int]] = None
-            if layout.expansion_lengths[rule_id] <= short_limit:
+            if expansion_lengths[rule_id] <= short_limit:
                 short = _gather_prefix(
                     layout,
                     rule_id,
-                    layout.expansion_lengths[rule_id],
+                    expansion_lengths[rule_id],
                     heads,
                     short_expansions,
                     ready,
@@ -318,7 +339,7 @@ def sequence_counts(
     rule_ids = list(range(1, layout.num_rules))
     if allowed is not None:
         rule_ids = [rule_id for rule_id in rule_ids if weights[rule_id] != 0]
-    items = [layout.rule_lengths[rule_id] for rule_id in rule_ids]
+    items = layout.rule_lengths[rule_ids].tolist()
     assignments = scheduler.partition_items(rule_ids, items) if rule_ids else []
 
     def rule_kernel(tid: int, ctx) -> None:

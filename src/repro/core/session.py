@@ -40,7 +40,11 @@ from repro.compression.compressor import CompressedCorpus
 from repro.core import vectorized
 from repro.core.layout import DeviceRuleLayout
 from repro.core.scheduler import DEFAULT_OVERSIZE_THRESHOLD, FineGrainedScheduler
-from repro.core.sequence import build_sequence_buffers, head_tail_upper_limit
+from repro.core.sequence import (
+    allocate_head_tail_buffers,
+    build_sequence_buffers,
+    head_tail_allocations,
+)
 from repro.core.traversal import allocate_local_tables
 from repro.gpusim.device import GPUDevice
 from repro.gpusim.memory_pool import MemoryPool
@@ -220,10 +224,12 @@ class DeviceSession:
 
         Used by :meth:`GTadoc.run` so a single-task run still performs the
         full per-query work (the seed semantics benchmarks compare against),
-        without re-flattening the grammar into a new layout.
+        without re-flattening the grammar into a new layout.  The layout
+        is built here if nothing has read it yet, so every fresh session
+        of one epoch shares the same one.
         """
         with self._lock:
-            session = DeviceSession(self.compressed, self.config, layout=self._layout)
+            session = DeviceSession(self.compressed, self.config, layout=self.layout)
             # The shared layout belongs to this session's built epoch, not
             # necessarily the corpus's current one.
             session._built_version = self._built_version
@@ -358,7 +364,7 @@ class DeviceSession:
             if key.kind == "sequence_buffers":
                 if pool is not None:
                     self._reserve_sequence_capacity(pool, key.param)
-                    self._allocate_sequence_owners(pool, key.param)
+                    allocate_head_tail_buffers(pool, self.layout, key.param)
                 record = GpuRunRecord()
                 rebuilt(
                     key, gd.delta_sequence_buffers(delta, entry.value, GPUDevice(record=record)), record
@@ -378,19 +384,6 @@ class DeviceSession:
                 # Rows cover every file (old and new): always rebuilt, but
                 # lazily — assembling them is a single launch.
                 self._states.pop(key, None)
-
-    def _allocate_sequence_owners(self, pool: MemoryPool, sequence_length: int) -> None:
-        """Carve one length's head/tail buffers out of the pool (idempotent)."""
-        layout = self.layout
-        limit = max(0, sequence_length - 1)
-        for rule_id in range(1, layout.num_rules):
-            owner = f"headTail[l={sequence_length}][{rule_id}]"
-            if pool.allocation_of(owner) is not None:
-                continue
-            upper = head_tail_upper_limit(
-                layout.rule_lengths[rule_id], len(layout.subrules[rule_id]), sequence_length
-            )
-            pool.allocate(owner, max(1, 2 * limit + max(0, upper)))
 
     # -- cached state -------------------------------------------------------------------------
     def has_state(self, key: StateKey) -> bool:
@@ -491,17 +484,12 @@ class DeviceSession:
 
     def _reserve_sequence_capacity(self, pool: MemoryPool, sequence_length: int) -> None:
         """Size the pool for one length's head/tail buffers before building them."""
-        layout = self.layout
-        limit = max(0, sequence_length - 1)
-        needed = 0
-        for rule_id in range(1, layout.num_rules):
-            if pool.allocation_of(f"headTail[l={sequence_length}][{rule_id}]") is not None:
-                continue
-            upper = head_tail_upper_limit(
-                layout.rule_lengths[rule_id], len(layout.subrules[rule_id]), sequence_length
-            )
-            # Worst case one alignment gap per allocation.
-            needed += max(1, 2 * limit + max(0, upper)) + pool.alignment
+        # Worst case one alignment gap per allocation.
+        needed = sum(
+            words + pool.alignment
+            for owner, words in head_tail_allocations(self.layout, sequence_length)
+            if pool.allocation_of(owner) is None
+        )
         if needed == 0:
             return
         if sequence_length == self.config.sequence_length:

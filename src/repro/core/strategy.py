@@ -43,21 +43,11 @@ class TraversalStrategySelector:
         self.layout = layout
 
     # -- cost estimates ----------------------------------------------------------------
-    # The layout is immutable after construction, so the corpus-wide
-    # sums feeding the estimates are computed once and kept on it.
     def _edges(self) -> float:
-        cached = self.layout.__dict__.get("_selector_edges")
-        if cached is None:
-            cached = float(sum(len(children) for children in self.layout.subrules))
-            self.layout.__dict__["_selector_edges"] = cached
-        return cached
+        return float(len(self.layout.sr_child))
 
     def _local_word_entries(self) -> float:
-        cached = self.layout.__dict__.get("_selector_local_word_entries")
-        if cached is None:
-            cached = float(sum(len(words) for words in self.layout.local_words))
-            self.layout.__dict__["_selector_local_word_entries"] = cached
-        return cached
+        return float(len(self.layout.lw_keys))
 
     def _estimate_top_down(self, task: Task) -> float:
         """Top-down cost: weight propagation over edges plus the reduce."""
@@ -84,13 +74,7 @@ class TraversalStrategySelector:
         cost = edges * table_factor + entries
         if task.is_file_sensitive:
             # The per-file reduce touches the root's per-file sub-rule lists.
-            root_entries = self.layout.__dict__.get("_selector_root_subrule_entries")
-            if root_entries is None:
-                root_entries = float(
-                    sum(len(table) for table in self.layout.root_subrule_freq_per_file)
-                )
-                self.layout.__dict__["_selector_root_subrule_entries"] = root_entries
-            cost += root_entries * table_factor * 0.1
+            cost += float(len(self.layout.rc_child)) * table_factor * 0.1
         return cost
 
     # -- public API ------------------------------------------------------------------------

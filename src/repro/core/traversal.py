@@ -56,6 +56,7 @@ __all__ = [
 
 def data_structure_prep(layout: DeviceRuleLayout, device: GPUDevice) -> None:
     """``dataStructurePrepKernel``: Figure 3's data-structure preparation."""
+    rule_lengths = layout.rule_lengths.tolist()
 
     def prep_kernel(tid: int, ctx) -> None:
         rule_id = tid
@@ -64,7 +65,7 @@ def data_structure_prep(layout: DeviceRuleLayout, device: GPUDevice) -> None:
         # Each thread formats its rule's adjacency and local word table
         # into the device layout (the "data structure preparation" +
         # "light-weight scanning" box of Figure 3).
-        length = layout.rule_lengths[rule_id]
+        length = rule_lengths[rule_id]
         ctx.charge(
             ops=wc.SYMBOL_VISIT_OPS * length + wc.MASK_CHECK_OPS,
             memory_bytes=wc.SYMBOL_VISIT_BYTES * length,
@@ -88,20 +89,17 @@ def compute_rule_weights_topdown(layout: DeviceRuleLayout, device: GPUDevice) ->
     weights[0] = 1
     cur_in_edges = [0] * num_rules
     masks = [False] * num_rules
-
-    root_frequencies: Dict[int, int] = {}
-    for per_file in layout.root_subrule_freq_per_file:
-        for child, count in per_file.items():
-            root_frequencies[child] = root_frequencies.get(child, 0) + count
+    num_in_edges = layout.num_in_edges.tolist()
+    root_frequencies = layout.root_freq.tolist()
 
     def init_mask_kernel(tid: int, ctx) -> None:
         rule_id = tid + 1  # the root is excluded, as in the paper
         if rule_id >= num_rules:
             return
         ctx.charge(ops=wc.MASK_CHECK_OPS + wc.WEIGHT_UPDATE_OPS, memory_bytes=16.0)
-        weights[rule_id] = root_frequencies.get(rule_id, 0)
+        weights[rule_id] = root_frequencies[rule_id]
         cur_in_edges[rule_id] = 0
-        masks[rule_id] = layout.num_in_edges[rule_id] == 0
+        masks[rule_id] = num_in_edges[rule_id] == 0
 
     if num_rules > 1:
         device.launch("initTopDownMaskKernel", init_mask_kernel, max(1, num_rules - 1))
@@ -118,11 +116,11 @@ def compute_rule_weights_topdown(layout: DeviceRuleLayout, device: GPUDevice) ->
             ctx.charge(ops=wc.MASK_CHECK_OPS, memory_bytes=4.0)
             if not masks[rule_id]:
                 return
-            for child, frequency in layout.subrules[rule_id]:
+            for child, frequency in layout.subrules(rule_id):
                 ctx.charge(ops=wc.EDGE_VISIT_OPS, memory_bytes=wc.EDGE_VISIT_BYTES)
                 ctx.atomic_add(weights, child, frequency * weights[rule_id])
                 ctx.atomic_add(cur_in_edges, child, 1)
-                if cur_in_edges[child] == layout.num_in_edges[child]:
+                if cur_in_edges[child] == num_in_edges[child]:
                     masks[child] = True
                     stop = False
                     ctx.charge(ops=wc.MASK_CHECK_OPS)
@@ -147,7 +145,7 @@ def topdown_word_count(
     table = DeviceHashTable.sized_for(layout.vocabulary_size)
 
     rule_ids = list(range(layout.num_rules))
-    items = [len(layout.local_words[rule_id]) for rule_id in rule_ids]
+    items = layout.lw_count[rule_ids].tolist()
     assignments = scheduler.partition_items(rule_ids, items)
 
     def reduce_kernel(tid: int, ctx) -> None:
@@ -156,7 +154,7 @@ def topdown_word_count(
         ctx.charge(ops=wc.MASK_CHECK_OPS, memory_bytes=8.0)
         if rule_weight == 0:
             return
-        local = layout.local_words[assignment.rule_id]
+        local = layout.local_words(assignment.rule_id)
         for word_id, count in local[assignment.start : assignment.end]:
             ctx.charge(ops=wc.SYMBOL_VISIT_OPS, memory_bytes=wc.SYMBOL_VISIT_BYTES)
             table.insert_add(word_id, count * rule_weight, ctx)
@@ -181,18 +179,23 @@ def compute_file_weights_topdown(
     file_weights: List[Dict[int, int]] = [dict() for _ in range(num_rules)]
     cur_in_edges = [0] * num_rules
     masks = [False] * num_rules
+    num_in_edges = layout.num_in_edges.tolist()
+    # Each rule's root occurrences per file, in file order.
+    root_files: List[List[Tuple[int, int]]] = [[] for _ in range(num_rules)]
+    for child, file_index, count in zip(
+        layout.rc_child.tolist(), layout.rc_file.tolist(), layout.rc_freq.tolist()
+    ):
+        root_files[child].append((file_index, count))
 
     def init_mask_kernel(tid: int, ctx) -> None:
         rule_id = tid + 1
         if rule_id >= num_rules:
             return
         ctx.charge(ops=wc.MASK_CHECK_OPS, memory_bytes=16.0)
-        for file_index, per_file in enumerate(layout.root_subrule_freq_per_file):
-            count = per_file.get(rule_id, 0)
-            if count:
-                file_weights[rule_id][file_index] = count
-                ctx.charge(ops=wc.WEIGHT_UPDATE_OPS, memory_bytes=8.0)
-        masks[rule_id] = layout.num_in_edges[rule_id] == 0
+        for file_index, count in root_files[rule_id]:
+            file_weights[rule_id][file_index] = count
+            ctx.charge(ops=wc.WEIGHT_UPDATE_OPS, memory_bytes=8.0)
+        masks[rule_id] = num_in_edges[rule_id] == 0
 
     if num_rules > 1:
         device.launch("initTopDownFileMaskKernel", init_mask_kernel, max(1, num_rules - 1))
@@ -210,7 +213,7 @@ def compute_file_weights_topdown(
             if not masks[rule_id]:
                 return
             own_weights = file_weights[rule_id]
-            for child, frequency in layout.subrules[rule_id]:
+            for child, frequency in layout.subrules(rule_id):
                 ctx.charge(ops=wc.EDGE_VISIT_OPS, memory_bytes=wc.EDGE_VISIT_BYTES)
                 child_weights = file_weights[child]
                 for file_index, weight in own_weights.items():
@@ -220,7 +223,7 @@ def compute_file_weights_topdown(
                     ctx.atomic_ops += 1.0
                     child_weights[file_index] = child_weights.get(file_index, 0) + frequency * weight
                 ctx.atomic_add(cur_in_edges, child, 1)
-                if cur_in_edges[child] == layout.num_in_edges[child]:
+                if cur_in_edges[child] == num_in_edges[child]:
                     masks[child] = True
                     stop = False
             masks[rule_id] = False
@@ -263,7 +266,7 @@ def topdown_per_file_counts(
             for rule_id in range(1, num_rules)
             if any(file_index in allowed for file_index in file_weights[rule_id])
         ]
-        items = [len(layout.local_words[rule_id]) for rule_id in rule_ids]
+        items = layout.lw_count[rule_ids].tolist()
         assignments = scheduler.partition_items(rule_ids, items) if rule_ids else []
 
         def subset_kernel(tid: int, ctx) -> None:
@@ -278,7 +281,7 @@ def topdown_per_file_counts(
                 }
                 if not weights:
                     return
-                local = layout.local_words[rule_id][assignment.start : assignment.end]
+                local = layout.local_words(rule_id)[assignment.start : assignment.end]
                 for word_id, count in local:
                     ctx.charge(ops=wc.SYMBOL_VISIT_OPS, memory_bytes=wc.SYMBOL_VISIT_BYTES)
                     for file_index, weight in weights.items():
@@ -291,7 +294,7 @@ def topdown_per_file_counts(
             if index >= len(allowed_order):
                 return
             file_index = allowed_order[index]
-            for word_id, count in layout.root_words_per_file[file_index].items():
+            for word_id, count in layout.root_words(file_index):
                 ctx.charge(ops=wc.HASH_UPDATE_OPS, memory_bytes=wc.HASH_UPDATE_BYTES)
                 table = per_file_counts[file_index]
                 table[word_id] = table.get(word_id, 0) + count
@@ -303,7 +306,7 @@ def topdown_per_file_counts(
         )
         return per_file_counts
     rule_ids = list(range(1, num_rules)) if num_rules > 1 else []
-    items = [len(layout.local_words[rule_id]) for rule_id in rule_ids]
+    items = layout.lw_count[rule_ids].tolist()
     assignments = scheduler.partition_items(rule_ids, items) if rule_ids else []
 
     def reduce_kernel(tid: int, ctx) -> None:
@@ -313,7 +316,7 @@ def topdown_per_file_counts(
         weights = file_weights[rule_id]
         if not weights:
             return
-        local = layout.local_words[rule_id][assignment.start : assignment.end]
+        local = layout.local_words(rule_id)[assignment.start : assignment.end]
         for word_id, count in local:
             ctx.charge(ops=wc.SYMBOL_VISIT_OPS, memory_bytes=wc.SYMBOL_VISIT_BYTES)
             for file_index, weight in weights.items():
@@ -330,7 +333,7 @@ def topdown_per_file_counts(
         file_index = tid
         if file_index >= layout.num_files:
             return
-        for word_id, count in layout.root_words_per_file[file_index].items():
+        for word_id, count in layout.root_words(file_index):
             ctx.charge(ops=wc.HASH_UPDATE_OPS, memory_bytes=wc.HASH_UPDATE_BYTES)
             table = per_file_counts[file_index]
             table[word_id] = table.get(word_id, 0) + count
@@ -351,13 +354,14 @@ def _bottomup_bound_pass(
     bounds = [0] * num_rules
     cur_out_edges = [0] * num_rules
     masks = [False] * num_rules
+    num_out_edges = layout.num_out_edges.tolist()
 
     def init_mask_kernel(tid: int, ctx) -> None:
         rule_id = tid
         if rule_id >= num_rules:
             return
         ctx.charge(ops=wc.MASK_CHECK_OPS, memory_bytes=8.0)
-        masks[rule_id] = layout.num_out_edges[rule_id] == 0
+        masks[rule_id] = num_out_edges[rule_id] == 0
 
     device.launch("initBottomUpMaskKernel", init_mask_kernel, num_rules)
 
@@ -378,16 +382,16 @@ def _bottomup_bound_pass(
                 # information); it only terminates the traversal.
                 masks[0] = False
                 return
-            bound = len(layout.local_words[rule_id])
+            bound = int(layout.lw_count[rule_id])
             ctx.charge(ops=wc.SYMBOL_VISIT_OPS, memory_bytes=8.0)
-            for child, _frequency in layout.subrules[rule_id]:
+            for child, _frequency in layout.subrules(rule_id):
                 ctx.charge(ops=wc.EDGE_VISIT_OPS, memory_bytes=wc.EDGE_VISIT_BYTES)
                 bound += bounds[child]
             bounds[rule_id] = min(bound, layout.vocabulary_size)
-            for parent in layout.parents[rule_id]:
+            for parent in layout.parents(rule_id):
                 ctx.charge(ops=wc.WEIGHT_UPDATE_OPS, memory_bytes=8.0)
                 ctx.atomic_add(cur_out_edges, parent, 1)
-                if cur_out_edges[parent] == layout.num_out_edges[parent]:
+                if cur_out_edges[parent] == num_out_edges[parent]:
                     masks[parent] = True
                     stop = False
             masks[rule_id] = False
@@ -426,7 +430,7 @@ def prepare_bottomup(
         rule_id = tid
         if rule_id >= num_rules:
             return
-        for _child, _frequency in layout.subrules[rule_id]:
+        for _child, _frequency in layout.subrules(rule_id):
             ctx.charge(ops=wc.EDGE_VISIT_OPS, memory_bytes=wc.EDGE_VISIT_BYTES)
 
     device.launch("genRuleParentsKernel", gen_parents_kernel, num_rules)
@@ -463,13 +467,14 @@ def build_local_tables_bottomup(
     local_tables: List[Dict[int, int]] = [dict() for _ in range(num_rules)]
     cur_out_edges = [0] * num_rules
     masks = [False] * num_rules
+    num_out_edges = layout.num_out_edges.tolist()
 
     def init_mask_kernel(tid: int, ctx) -> None:
         rule_id = tid
         if rule_id >= num_rules:
             return
         ctx.charge(ops=wc.MASK_CHECK_OPS, memory_bytes=8.0)
-        masks[rule_id] = layout.num_out_edges[rule_id] == 0
+        masks[rule_id] = num_out_edges[rule_id] == 0
 
     device.launch("initBottomUpMaskKernel", init_mask_kernel, num_rules)
 
@@ -491,18 +496,18 @@ def build_local_tables_bottomup(
                 masks[0] = False
                 return
             table = local_tables[rule_id]
-            for word_id, count in layout.local_words[rule_id]:
+            for word_id, count in layout.local_words(rule_id):
                 ctx.charge(ops=wc.HASH_UPDATE_OPS, memory_bytes=wc.HASH_UPDATE_BYTES)
                 table[word_id] = table.get(word_id, 0) + count
-            for child, frequency in layout.subrules[rule_id]:
+            for child, frequency in layout.subrules(rule_id):
                 ctx.charge(ops=wc.EDGE_VISIT_OPS, memory_bytes=wc.EDGE_VISIT_BYTES)
                 for word_id, count in local_tables[child].items():
                     ctx.charge(ops=wc.HASH_UPDATE_OPS, memory_bytes=wc.HASH_UPDATE_BYTES)
                     table[word_id] = table.get(word_id, 0) + count * frequency
-            for parent in layout.parents[rule_id]:
+            for parent in layout.parents(rule_id):
                 ctx.charge(ops=wc.WEIGHT_UPDATE_OPS, memory_bytes=8.0)
                 ctx.atomic_add(cur_out_edges, parent, 1)
-                if cur_out_edges[parent] == layout.num_out_edges[parent]:
+                if cur_out_edges[parent] == num_out_edges[parent]:
                     masks[parent] = True
                     stop = False
             masks[rule_id] = False
@@ -523,16 +528,12 @@ def bottomup_word_count(
     table = DeviceHashTable.sized_for(layout.vocabulary_size)
 
     # Level-2 nodes: the root's direct children, with their root frequencies.
-    level2: Dict[int, int] = {}
-    for per_file in layout.root_subrule_freq_per_file:
-        for child, count in per_file.items():
-            level2[child] = level2.get(child, 0) + count
-    level2_items = sorted(level2.items())
+    level2_items = list(zip(layout.level2_child.tolist(), layout.level2_freq.tolist()))
 
     def reduce_kernel(tid: int, ctx) -> None:
         if tid == 0:
             # The root's own terminal words.
-            for word_id, count in layout.local_words[0]:
+            for word_id, count in layout.local_words(0):
                 ctx.charge(ops=wc.SYMBOL_VISIT_OPS, memory_bytes=wc.SYMBOL_VISIT_BYTES)
                 table.insert_add(word_id, count, ctx)
             return
@@ -579,10 +580,10 @@ def bottomup_per_file_counts(
         if file_index >= layout.num_files:
             return
         result = per_file_counts[file_index]
-        for word_id, count in layout.root_words_per_file[file_index].items():
+        for word_id, count in layout.root_words(file_index):
             ctx.charge(ops=wc.HASH_UPDATE_OPS, memory_bytes=wc.HASH_UPDATE_BYTES)
             result[word_id] = result.get(word_id, 0) + count
-        for child, frequency in layout.root_subrule_freq_per_file[file_index].items():
+        for child, frequency in layout.root_subrules(file_index):
             ctx.charge(ops=wc.EDGE_VISIT_OPS, memory_bytes=wc.EDGE_VISIT_BYTES)
             for word_id, count in local_tables[child].items():
                 ctx.charge(ops=wc.HASH_UPDATE_OPS, memory_bytes=wc.HASH_UPDATE_BYTES)
@@ -618,13 +619,14 @@ def build_relational_tables(
     states = [rc.empty_state(num_anchors) for _ in range(num_rules)]
     cur_out_edges = [0] * num_rules
     masks = [False] * num_rules
+    num_out_edges = layout.num_out_edges.tolist()
 
     def init_mask_kernel(tid: int, ctx) -> None:
         rule_id = tid
         if rule_id >= num_rules:
             return
         ctx.charge(ops=wc.MASK_CHECK_OPS, memory_bytes=8.0)
-        masks[rule_id] = layout.num_out_edges[rule_id] == 0
+        masks[rule_id] = num_out_edges[rule_id] == 0
 
     device.launch("initRelationalMaskKernel", init_mask_kernel, num_rules)
 
@@ -650,13 +652,13 @@ def build_relational_tables(
                 ops=wc.SYMBOL_VISIT_OPS * len(body),
                 memory_bytes=wc.SYMBOL_VISIT_BYTES * len(body),
             )
-            for _child, _frequency in layout.subrules[rule_id]:
+            for _child, _frequency in layout.subrules(rule_id):
                 ctx.charge(ops=wc.EDGE_VISIT_OPS, memory_bytes=wc.EDGE_VISIT_BYTES)
             states[rule_id] = rc.fold_symbol_states(body, states, anchors, caps)
-            for parent in layout.parents[rule_id]:
+            for parent in layout.parents(rule_id):
                 ctx.charge(ops=wc.WEIGHT_UPDATE_OPS, memory_bytes=8.0)
                 ctx.atomic_add(cur_out_edges, parent, 1)
-                if cur_out_edges[parent] == layout.num_out_edges[parent]:
+                if cur_out_edges[parent] == num_out_edges[parent]:
                     masks[parent] = True
                     stop = False
             masks[rule_id] = False

@@ -4,9 +4,10 @@ The reference kernels in :mod:`repro.core.traversal` and
 :mod:`repro.core.sequence` execute every simulated GPU thread as a
 Python callback, which specifies each launch faithfully but makes
 wall-clock time interpreter-bound.  This module implements the same
-kernels as numpy array programs over CSR-style flattened layouts that
-are precomputed once per :class:`~repro.core.layout.DeviceRuleLayout`
-and cached on it, then records each launch through
+kernels as numpy array programs over the CSR arrays of
+:class:`~repro.core.layout.DeviceRuleLayout`, the one device layout
+(its thread partitions are cached on it as well), then records each
+launch through
 :meth:`~repro.gpusim.device.GPUDevice.launch_bulk` with per-thread work
 vectors.  The session and the task plans call these functions directly;
 only kernels without a bulk port (the head/tail buffers and the
@@ -63,8 +64,6 @@ from repro.gpusim.device import GPUDevice
 from repro.perf import workcosts as wc
 
 __all__ = [
-    "FlattenedLayout",
-    "flattened",
     "data_structure_prep",
     "compute_rule_weights",
     "compute_file_weights",
@@ -83,169 +82,8 @@ __all__ = [
 _I64 = np.int64
 _F64 = np.float64
 
-#: A kernel's thread partition: ``(rules, starts, ends)``, one entry per
-#: simulated thread, each thread scanning items ``[start, end)`` of its rule.
-Partition = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
 #: Knuth multiplicative constant, as in :class:`DeviceHashTable`.
 _HASH_MULT = 2654435761
-
-
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(counts) + 1, dtype=_I64)
-    np.cumsum(counts, out=out[1:])
-    return out
-
-
-def _flat_pairs(lists: Sequence[Sequence[Tuple[int, int]]]) -> Tuple[np.ndarray, np.ndarray]:
-    first = [pair[0] for entries in lists for pair in entries]
-    second = [pair[1] for entries in lists for pair in entries]
-    return (
-        np.asarray(first, dtype=_I64) if first else np.zeros(0, dtype=_I64),
-        np.asarray(second, dtype=_I64) if second else np.zeros(0, dtype=_I64),
-    )
-
-
-def _flat_ints(lists: Sequence[Sequence[int]]) -> np.ndarray:
-    flat = [value for entries in lists for value in entries]
-    return np.asarray(flat, dtype=_I64) if flat else np.zeros(0, dtype=_I64)
-
-
-class FlattenedLayout:
-    """CSR-style flat-array view of a :class:`DeviceRuleLayout`.
-
-    Built once per layout (see :func:`flattened`) and shared by every
-    vectorized kernel, so a launch is a handful of array operations
-    instead of a Python loop per simulated thread.
-    """
-
-    def __init__(self, layout: DeviceRuleLayout) -> None:
-        self.layout = layout
-        n = layout.num_rules
-        self.num_rules = n
-        self.num_files = layout.num_files
-        self.vocabulary_size = layout.vocabulary_size
-        self.rule_lengths = np.asarray(layout.rule_lengths, dtype=_I64)
-
-        # rule -> local (word, count) pairs, already sorted by word id.
-        self.lw_count = np.asarray([len(w) for w in layout.local_words], dtype=_I64)
-        self.lw_off = _offsets(self.lw_count)
-        self.lw_keys, self.lw_vals = _flat_pairs(layout.local_words)
-
-        # rule -> (sub-rule, multiplicity) adjacency.
-        self.sr_count = np.asarray([len(s) for s in layout.subrules], dtype=_I64)
-        self.sr_off = _offsets(self.sr_count)
-        self.sr_child, self.sr_freq = _flat_pairs(layout.subrules)
-
-        # rule -> distinct parents (root included).
-        self.par_count = np.asarray([len(p) for p in layout.parents], dtype=_I64)
-        self.par_off = _offsets(self.par_count)
-        self.par_ids = _flat_ints(layout.parents)
-
-        self.num_in = np.asarray(layout.num_in_edges, dtype=_I64)
-        self.num_out = np.asarray(layout.num_out_edges, dtype=_I64)
-
-        # Root segments per file: direct terminal words and direct
-        # sub-rule frequencies, flattened in dict (= first occurrence) order.
-        self.rw_count = np.asarray(
-            [len(t) for t in layout.root_words_per_file], dtype=_I64
-        )
-        self.rw_off = _offsets(self.rw_count)
-        self.rw_keys = _flat_ints([list(t.keys()) for t in layout.root_words_per_file])
-        self.rw_vals = _flat_ints([list(t.values()) for t in layout.root_words_per_file])
-        self.rw_file = np.repeat(np.arange(self.num_files, dtype=_I64), self.rw_count)
-
-        self.rc_count = np.asarray(
-            [len(t) for t in layout.root_subrule_freq_per_file], dtype=_I64
-        )
-        self.rc_off = _offsets(self.rc_count)
-        self.rc_child = _flat_ints(
-            [list(t.keys()) for t in layout.root_subrule_freq_per_file]
-        )
-        self.rc_freq = _flat_ints(
-            [list(t.values()) for t in layout.root_subrule_freq_per_file]
-        )
-        self.rc_file = np.repeat(np.arange(self.num_files, dtype=_I64), self.rc_count)
-
-        # Aggregate root frequencies (level-2 weights) and the per-rule
-        # count of files that reference the rule from the root.
-        self.root_freq = np.zeros(n, dtype=_I64)
-        np.add.at(self.root_freq, self.rc_child, self.rc_freq)
-        self.files_per_rule = np.bincount(self.rc_child, minlength=n).astype(_I64)
-        self.level2_child = np.flatnonzero(self.root_freq).astype(_I64)
-        self.level2_freq = self.root_freq[self.level2_child]
-
-        self._group_sizes: Dict[Tuple, np.ndarray] = {}
-        self._assignments: Dict[Tuple, Partition] = {}
-
-    # -- scheduling ------------------------------------------------------------------
-    def partition(
-        self, scheduler: FineGrainedScheduler, rule_ids: np.ndarray, items: np.ndarray
-    ) -> Partition:
-        """Bulk port of :meth:`FineGrainedScheduler.partition_items`.
-
-        Returns ``(rules, starts, ends)``: one entry per simulated thread,
-        in the reference's thread order.  A rule with more than one item
-        splits them evenly over ``min(group size, items)`` threads, the
-        first ``items % threads`` of which take one extra item.
-        """
-        key = (scheduler.oversize_threshold, scheduler.max_group_size)
-        sizes = self._group_sizes.get(key)
-        if sizes is None:
-            sizes = np.asarray(scheduler.group_sizes(), dtype=_I64)
-            self._group_sizes[key] = sizes
-        group = np.where(items > 1, np.minimum(sizes[rule_ids], items), 1)
-        lane = np.arange(int(group.sum()), dtype=_I64) - np.repeat(_offsets(group)[:-1], group)
-        base, extra = np.divmod(np.repeat(items, group), np.repeat(group, group))
-        starts = lane * base + np.minimum(lane, extra)
-        return np.repeat(rule_ids, group), starts, starts + base + (lane < extra)
-
-    def assignments(self, scheduler: FineGrainedScheduler, tag: str) -> Partition:
-        """Cached thread partitions for the three unfiltered reduce shapes."""
-        key = (tag, scheduler.oversize_threshold, scheduler.max_group_size)
-        cached = self._assignments.get(key)
-        if cached is None:
-            rule_ids = np.arange(0 if tag == "corpus" else 1, self.num_rules, dtype=_I64)
-            if tag in ("corpus", "file"):
-                items = self.lw_count[rule_ids]
-            elif tag == "sequence":
-                items = self.rule_lengths[rule_ids]
-            else:  # pragma: no cover - internal misuse
-                raise ValueError(f"unknown assignment tag: {tag!r}")
-            cached = self.partition(scheduler, rule_ids, items)
-            self._assignments[key] = cached
-        return cached
-
-    def gather_local_words(
-        self, rules: np.ndarray, starts: np.ndarray, ends: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flatten per-assignment local-word slices into one op stream.
-
-        Returns ``(owner, keys, vals)`` where ``owner[i]`` is the index of
-        the assignment that visits pair ``i``; pairs appear in ascending
-        assignment order, slice order — exactly the scalar charge order.
-        """
-        lo = self.lw_off[rules] + starts
-        lengths = np.maximum(0, ends - starts)
-        total = int(lengths.sum())
-        if total == 0:
-            empty = np.zeros(0, dtype=_I64)
-            return empty, empty, empty
-        owner = np.repeat(np.arange(len(rules), dtype=_I64), lengths)
-        within = np.arange(total, dtype=_I64) - np.repeat(
-            _offsets(lengths)[:-1], lengths
-        )
-        flat = np.repeat(lo, lengths) + within
-        return owner, self.lw_keys[flat], self.lw_vals[flat]
-
-
-def flattened(layout: DeviceRuleLayout) -> FlattenedLayout:
-    """The layout's cached :class:`FlattenedLayout` (built on first use)."""
-    cache = getattr(layout, "_vectorized_flat", None)
-    if cache is None:
-        cache = FlattenedLayout(layout)
-        layout._vectorized_flat = cache  # type: ignore[attr-defined]
-    return cache
 
 
 # ----------------------------------------------------------------------------------------
@@ -321,12 +159,11 @@ def _thread_sums(owner: np.ndarray, values: np.ndarray, num_threads: int) -> np.
 
 def data_structure_prep(layout: DeviceRuleLayout, device: GPUDevice) -> None:
     """Bulk port of ``dataStructurePrepKernel`` (Figure 3's left box)."""
-    flat = flattened(layout)
-    n = flat.num_rules
+    n = layout.num_rules
     num_threads = max(1, n)
     ops = np.zeros(num_threads, dtype=_F64)
     mem = np.zeros(num_threads, dtype=_F64)
-    lengths = flat.rule_lengths.astype(_F64)
+    lengths = layout.rule_lengths.astype(_F64)
     ops[:n] = wc.SYMBOL_VISIT_OPS * lengths + wc.MASK_CHECK_OPS
     mem[:n] = wc.SYMBOL_VISIT_BYTES * lengths
     device.launch_bulk(
@@ -340,14 +177,13 @@ def data_structure_prep(layout: DeviceRuleLayout, device: GPUDevice) -> None:
 
 def compute_rule_weights(layout: DeviceRuleLayout, device: GPUDevice) -> List[int]:
     """Bulk port of Algorithm 1's weight propagation (scalar weights)."""
-    flat = flattened(layout)
-    n = flat.num_rules
+    n = layout.num_rules
     weights = np.zeros(n, dtype=_I64)
     weights[0] = 1
     if n <= 1:
         return weights.tolist()
 
-    weights[1:] = flat.root_freq[1:]
+    weights[1:] = layout.root_freq[1:]
     num_threads = n - 1
     init_ops = np.full(num_threads, wc.MASK_CHECK_OPS + wc.WEIGHT_UPDATE_OPS, dtype=_F64)
     init_mem = np.full(num_threads, 16.0, dtype=_F64)
@@ -356,7 +192,7 @@ def compute_rule_weights(layout: DeviceRuleLayout, device: GPUDevice) -> List[in
     )
 
     cur_in = np.zeros(n, dtype=_I64)
-    pending = sorted(np.flatnonzero(flat.num_in[1:] == 0) + 1)
+    pending = sorted(np.flatnonzero(layout.num_in_edges[1:] == 0) + 1)
     while True:
         ops = np.full(num_threads, wc.MASK_CHECK_OPS, dtype=_F64)
         mem = np.full(num_threads, 4.0, dtype=_F64)
@@ -369,15 +205,15 @@ def compute_rule_weights(layout: DeviceRuleLayout, device: GPUDevice) -> List[in
         while heap:
             r = heapq.heappop(heap)
             tid = r - 1
-            lo, hi = int(flat.sr_off[r]), int(flat.sr_off[r + 1])
-            cs = flat.sr_child[lo:hi]
-            fs = flat.sr_freq[lo:hi]
+            lo, hi = int(layout.sr_off[r]), int(layout.sr_off[r + 1])
+            cs = layout.sr_child[lo:hi]
+            fs = layout.sr_freq[lo:hi]
             edges = hi - lo
             if edges:
                 weights[cs] += fs * weights[r]
                 cur_in[cs] += 1
                 touch_counts[cs] += 1
-                newly = cs[cur_in[cs] == flat.num_in[cs]]
+                newly = cs[cur_in[cs] == layout.num_in_edges[cs]]
             else:
                 newly = ()
             hits = len(newly)
@@ -422,12 +258,12 @@ class FileWeights(list):
 
 
 def _dense_file_weights(
-    flat: FlattenedLayout, file_weights: Sequence[Dict[int, int]]
+    layout: DeviceRuleLayout, file_weights: Sequence[Dict[int, int]]
 ) -> np.ndarray:
     dense = getattr(file_weights, "dense", None)
     if dense is not None:
         return dense
-    matrix = np.zeros((flat.num_rules, flat.num_files), dtype=_I64)
+    matrix = np.zeros((layout.num_rules, layout.num_files), dtype=_I64)
     for rule_id, table in enumerate(file_weights):
         for file_index, weight in table.items():
             matrix[rule_id, file_index] = weight
@@ -436,8 +272,7 @@ def _dense_file_weights(
 
 def compute_file_weights(layout: DeviceRuleLayout, device: GPUDevice) -> FileWeights:
     """Bulk port of the per-file weight propagation (file-sensitive tasks)."""
-    flat = flattened(layout)
-    n, num_files = flat.num_rules, flat.num_files
+    n, num_files = layout.num_rules, layout.num_files
     matrix = np.zeros((n, num_files), dtype=_I64)
     if n <= 1:
         result = FileWeights(dict() for _ in range(n))
@@ -445,10 +280,10 @@ def compute_file_weights(layout: DeviceRuleLayout, device: GPUDevice) -> FileWei
         return result
 
     # Init kernel: every non-root rule loads its root-segment counts.
-    matrix[flat.rc_child, flat.rc_file] = flat.rc_freq
+    matrix[layout.rc_child, layout.rc_file] = layout.rc_freq
     matrix[0, :] = 0
     num_threads = n - 1
-    k = flat.files_per_rule[1:].astype(_F64)
+    k = layout.files_per_rule[1:].astype(_F64)
     init_ops = wc.MASK_CHECK_OPS + wc.WEIGHT_UPDATE_OPS * k
     init_mem = 16.0 + 8.0 * k
     device.launch_bulk(
@@ -459,7 +294,7 @@ def compute_file_weights(layout: DeviceRuleLayout, device: GPUDevice) -> FileWei
     )
 
     cur_in = np.zeros(n, dtype=_I64)
-    pending = sorted(np.flatnonzero(flat.num_in[1:] == 0) + 1)
+    pending = sorted(np.flatnonzero(layout.num_in_edges[1:] == 0) + 1)
     while True:
         ops = np.full(num_threads, wc.MASK_CHECK_OPS, dtype=_F64)
         mem = np.full(num_threads, 4.0, dtype=_F64)
@@ -472,9 +307,9 @@ def compute_file_weights(layout: DeviceRuleLayout, device: GPUDevice) -> FileWei
         while heap:
             r = heapq.heappop(heap)
             tid = r - 1
-            lo, hi = int(flat.sr_off[r]), int(flat.sr_off[r + 1])
-            cs = flat.sr_child[lo:hi]
-            fs = flat.sr_freq[lo:hi]
+            lo, hi = int(layout.sr_off[r]), int(layout.sr_off[r + 1])
+            cs = layout.sr_child[lo:hi]
+            fs = layout.sr_freq[lo:hi]
             edges = hi - lo
             row = matrix[r]
             # The rule's own table is final here: all parents fired already.
@@ -483,7 +318,7 @@ def compute_file_weights(layout: DeviceRuleLayout, device: GPUDevice) -> FileWei
                 matrix[cs] += fs[:, None] * row
                 cur_in[cs] += 1
                 touch_counts[cs] += 1
-                newly = cs[cur_in[cs] == flat.num_in[cs]]
+                newly = cs[cur_in[cs] == layout.num_in_edges[cs]]
             else:
                 newly = ()
             # Per edge: EDGE_VISIT, per carried file entry a weight update
@@ -528,14 +363,13 @@ def topdown_word_count_reduce(
     weights: Sequence[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Bulk port of the top-down ``reduceResultKernel``: ``(word ids, counts)``."""
-    flat = flattened(layout)
-    rules, starts, ends = flat.assignments(scheduler, "corpus")
+    rules, starts, ends = layout.assignments(scheduler, "corpus")
     num_threads = max(1, len(rules))
     weights_arr = np.asarray(weights, dtype=_I64)
     thread_weight = weights_arr[rules]
 
     active = thread_weight != 0
-    owner, keys, vals = flat.gather_local_words(
+    owner, keys, vals = layout.gather_local_words(
         rules[active] if active.any() else rules[:0],
         starts[active] if active.any() else starts[:0],
         ends[active] if active.any() else ends[:0],
@@ -545,7 +379,7 @@ def topdown_word_count_reduce(
         owner = active_tids[owner]
         vals = vals * thread_weight[owner]
 
-    num_buckets, capacity = _table_geometry(flat.vocabulary_size)
+    num_buckets, capacity = _table_geometry(layout.vocabulary_size)
     hash_ops, hash_mem, conflicts, out_keys, out_vals = _hash_program(
         keys, vals, num_buckets, capacity
     )
@@ -586,7 +420,7 @@ def _merge_file_words(
 
 
 def _file_rows(
-    flat: FlattenedLayout, columns: np.ndarray, file_indices: np.ndarray
+    layout: DeviceRuleLayout, columns: np.ndarray, file_indices: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(file indices, word ids, counts)`` of ``file_indices`` (ascending).
 
@@ -595,17 +429,17 @@ def _file_rows(
     root's own words.
     """
     rules, at = np.nonzero(columns)
-    owner, keys, vals = flat.gather_local_words(
-        rules, np.zeros(len(rules), dtype=_I64), flat.lw_count[rules]
+    owner, keys, vals = layout.gather_local_words(
+        rules, np.zeros(len(rules), dtype=_I64), layout.lw_count[rules]
     )
-    wanted = np.zeros(flat.num_files, dtype=bool)
+    wanted = np.zeros(layout.num_files, dtype=bool)
     wanted[file_indices] = True
-    root = wanted[flat.rw_file]
+    root = wanted[layout.rw_file]
     files, words, counts, _inverse = _merge_file_words(
-        np.concatenate([file_indices[at][owner], flat.rw_file[root]]),
-        np.concatenate([keys, flat.rw_keys[root]]),
-        np.concatenate([vals * columns[rules, at][owner], flat.rw_vals[root]]),
-        flat.vocabulary_size,
+        np.concatenate([file_indices[at][owner], layout.rw_file[root]]),
+        np.concatenate([keys, layout.rw_keys[root]]),
+        np.concatenate([vals * columns[rules, at][owner], layout.rw_vals[root]]),
+        layout.vocabulary_size,
     )
     return files, words, counts
 
@@ -624,8 +458,7 @@ def topdown_per_file_counts_vec(
     ``reduceFileSubsetKernel``.  Returns ``(file indices, word ids,
     counts)`` sorted by ``(file, word id)``.
     """
-    flat = flattened(layout)
-    matrix = _dense_file_weights(flat, file_weights)
+    matrix = _dense_file_weights(layout, file_weights)
 
     if file_indices is not None:
         allowed_order = sorted(frozenset(file_indices))
@@ -633,7 +466,7 @@ def topdown_per_file_counts_vec(
         sub = matrix[:, allowed_cols] if len(allowed_cols) else matrix[:, :0]
         sub_nnz = np.count_nonzero(sub, axis=1).astype(_I64)
         rule_ids = np.flatnonzero(sub_nnz[1:]).astype(_I64) + 1
-        rules, starts, ends = flat.partition(scheduler, rule_ids, flat.lw_count[rule_ids])
+        rules, starts, ends = layout.partition(scheduler, rule_ids, layout.lw_count[rule_ids])
         num_threads = max(1, len(rules) + len(allowed_order))
         ops = np.zeros(num_threads, dtype=_F64)
         mem = np.zeros(num_threads, dtype=_F64)
@@ -650,8 +483,8 @@ def topdown_per_file_counts_vec(
             )
             atomics[a] = spans * spread
         file_tids = len(rules) + np.arange(len(allowed_order))
-        ops[file_tids] = wc.HASH_UPDATE_OPS * flat.rw_count[allowed_cols]
-        mem[file_tids] = wc.HASH_UPDATE_BYTES * flat.rw_count[allowed_cols]
+        ops[file_tids] = wc.HASH_UPDATE_OPS * layout.rw_count[allowed_cols]
+        mem[file_tids] = wc.HASH_UPDATE_BYTES * layout.rw_count[allowed_cols]
         device.launch_bulk(
             "reduceFileSubsetKernel",
             num_threads,
@@ -659,9 +492,9 @@ def topdown_per_file_counts_vec(
             thread_memory_bytes=mem,
             thread_atomic_ops=atomics,
         )
-        return _file_rows(flat, sub, allowed_cols)
+        return _file_rows(layout, sub, allowed_cols)
 
-    rules, starts, ends = flat.assignments(scheduler, "file")
+    rules, starts, ends = layout.assignments(scheduler, "file")
     if len(rules):
         spans = np.maximum(0, ends - starts).astype(_F64)
         spread = np.count_nonzero(matrix, axis=1).astype(_F64)[rules]
@@ -676,23 +509,23 @@ def topdown_per_file_counts_vec(
             thread_atomic_ops=atomics,
         )
 
-    num_threads = max(1, flat.num_files)
+    num_threads = max(1, layout.num_files)
     ops = np.zeros(num_threads, dtype=_F64)
     mem = np.zeros(num_threads, dtype=_F64)
-    ops[: flat.num_files] = wc.HASH_UPDATE_OPS * flat.rw_count
-    mem[: flat.num_files] = wc.HASH_UPDATE_BYTES * flat.rw_count
+    ops[: layout.num_files] = wc.HASH_UPDATE_OPS * layout.rw_count
+    mem[: layout.num_files] = wc.HASH_UPDATE_BYTES * layout.rw_count
     device.launch_bulk(
         "rootWordsKernel", num_threads, thread_ops=ops, thread_memory_bytes=mem
     )
-    return _file_rows(flat, matrix, np.arange(flat.num_files, dtype=_I64))
+    return _file_rows(layout, matrix, np.arange(layout.num_files, dtype=_I64))
 
 
 # ----------------------------------------------------------------------------------------
 # Bottom-up traversal (Algorithm 2)
 # ----------------------------------------------------------------------------------------
 
-def _launch_bottomup_init_mask(flat: FlattenedLayout, device: GPUDevice) -> None:
-    n = flat.num_rules
+def _launch_bottomup_init_mask(layout: DeviceRuleLayout, device: GPUDevice) -> None:
+    n = layout.num_rules
     device.launch_bulk(
         "initBottomUpMaskKernel",
         n,
@@ -703,9 +536,8 @@ def _launch_bottomup_init_mask(flat: FlattenedLayout, device: GPUDevice) -> None
 
 def prepare_bottomup_vec(layout: DeviceRuleLayout, device: GPUDevice) -> List[int]:
     """Bulk port of ``genRuleParentsKernel`` + the local-table bound pass."""
-    flat = flattened(layout)
-    n = flat.num_rules
-    edges = flat.sr_count.astype(_F64)
+    n = layout.num_rules
+    edges = layout.sr_count.astype(_F64)
     device.launch_bulk(
         "genRuleParentsKernel",
         n,
@@ -713,11 +545,11 @@ def prepare_bottomup_vec(layout: DeviceRuleLayout, device: GPUDevice) -> List[in
         thread_memory_bytes=wc.EDGE_VISIT_BYTES * edges,
     )
 
-    _launch_bottomup_init_mask(flat, device)
+    _launch_bottomup_init_mask(layout, device)
 
     bounds = np.zeros(n, dtype=_I64)
     cur_out = np.zeros(n, dtype=_I64)
-    pending = sorted(np.flatnonzero(flat.num_out == 0))
+    pending = sorted(np.flatnonzero(layout.num_out_edges == 0))
     while True:
         ops = np.full(n, wc.MASK_CHECK_OPS, dtype=_F64)
         mem = np.full(n, 4.0, dtype=_F64)
@@ -732,19 +564,19 @@ def prepare_bottomup_vec(layout: DeviceRuleLayout, device: GPUDevice) -> List[in
             if r == 0:
                 # The root only terminates the traversal; no extra work.
                 continue
-            lo, hi = int(flat.sr_off[r]), int(flat.sr_off[r + 1])
-            cs = flat.sr_child[lo:hi]
+            lo, hi = int(layout.sr_off[r]), int(layout.sr_off[r + 1])
+            cs = layout.sr_child[lo:hi]
             degree = hi - lo
             bounds[r] = min(
-                int(flat.lw_count[r]) + int(bounds[cs].sum()), flat.vocabulary_size
+                int(layout.lw_count[r]) + int(bounds[cs].sum()), layout.vocabulary_size
             )
-            plo, phi = int(flat.par_off[r]), int(flat.par_off[r + 1])
-            ps = flat.par_ids[plo:phi]
+            plo, phi = int(layout.par_off[r]), int(layout.par_off[r + 1])
+            ps = layout.par_ids[plo:phi]
             num_parents = phi - plo
             if num_parents:
                 cur_out[ps] += 1
                 touch_counts[ps] += 1
-                newly = ps[cur_out[ps] == flat.num_out[ps]]
+                newly = ps[cur_out[ps] == layout.num_out_edges[ps]]
             else:
                 newly = ()
             ops[r] += (
@@ -803,14 +635,13 @@ def build_local_tables_vec(
     layout: DeviceRuleLayout, device: GPUDevice
 ) -> LocalTables:
     """Bulk port of the ``genLocTblKernel`` wavefront (Algorithm 2's build)."""
-    flat = flattened(layout)
-    n = flat.num_rules
-    _launch_bottomup_init_mask(flat, device)
+    n = layout.num_rules
+    _launch_bottomup_init_mask(layout, device)
 
     key_arrays: List[np.ndarray] = [np.zeros(0, dtype=_I64) for _ in range(n)]
     val_arrays: List[np.ndarray] = [np.zeros(0, dtype=_I64) for _ in range(n)]
     cur_out = np.zeros(n, dtype=_I64)
-    pending = sorted(np.flatnonzero(flat.num_out == 0))
+    pending = sorted(np.flatnonzero(layout.num_out_edges == 0))
     while True:
         ops = np.full(n, wc.MASK_CHECK_OPS, dtype=_F64)
         mem = np.full(n, 4.0, dtype=_F64)
@@ -825,14 +656,14 @@ def build_local_tables_vec(
             if r == 0:
                 # Results are gathered at level-2 nodes, never at the root.
                 continue
-            lo, hi = int(flat.lw_off[r]), int(flat.lw_off[r + 1])
-            key_parts = [flat.lw_keys[lo:hi]]
-            val_parts = [flat.lw_vals[lo:hi]]
+            lo, hi = int(layout.lw_off[r]), int(layout.lw_off[r + 1])
+            key_parts = [layout.lw_keys[lo:hi]]
+            val_parts = [layout.lw_vals[lo:hi]]
             own_entries = hi - lo
-            slo, shi = int(flat.sr_off[r]), int(flat.sr_off[r + 1])
+            slo, shi = int(layout.sr_off[r]), int(layout.sr_off[r + 1])
             child_entries = 0
             for child, freq in zip(
-                flat.sr_child[slo:shi].tolist(), flat.sr_freq[slo:shi].tolist()
+                layout.sr_child[slo:shi].tolist(), layout.sr_freq[slo:shi].tolist()
             ):
                 child_keys = key_arrays[child]
                 child_entries += len(child_keys)
@@ -851,13 +682,13 @@ def build_local_tables_vec(
                 key_arrays[r] = uniq[order]
                 val_arrays[r] = sums[order]
             degree = shi - slo
-            plo, phi = int(flat.par_off[r]), int(flat.par_off[r + 1])
-            ps = flat.par_ids[plo:phi]
+            plo, phi = int(layout.par_off[r]), int(layout.par_off[r + 1])
+            ps = layout.par_ids[plo:phi]
             num_parents = phi - plo
             if num_parents:
                 cur_out[ps] += 1
                 touch_counts[ps] += 1
-                newly = ps[cur_out[ps] == flat.num_out[ps]]
+                newly = ps[cur_out[ps] == layout.num_out_edges[ps]]
             else:
                 newly = ()
             ops[r] += (
@@ -904,18 +735,17 @@ def bottomup_word_count_reduce(
     local_tables: Sequence[Dict[int, int]],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Bulk port of the bottom-up ``reduceResultKernel``: ``(word ids, counts)``."""
-    flat = flattened(layout)
     key_arrays, val_arrays = _table_arrays(local_tables)
-    num_threads = 1 + len(flat.level2_child)
+    num_threads = 1 + len(layout.level2_child)
 
     # Charge-order op stream: the root's own terminal words (thread 0),
     # then each level-2 child's table scaled by its root frequency.
-    lo, hi = int(flat.lw_off[0]), int(flat.lw_off[1])
-    key_parts = [flat.lw_keys[lo:hi]]
-    val_parts = [flat.lw_vals[lo:hi]]
+    lo, hi = int(layout.lw_off[0]), int(layout.lw_off[1])
+    key_parts = [layout.lw_keys[lo:hi]]
+    val_parts = [layout.lw_vals[lo:hi]]
     owner_parts = [np.zeros(hi - lo, dtype=_I64)]
     for index, (child, freq) in enumerate(
-        zip(flat.level2_child.tolist(), flat.level2_freq.tolist())
+        zip(layout.level2_child.tolist(), layout.level2_freq.tolist())
     ):
         child_keys = key_arrays[child]
         if len(child_keys):
@@ -926,7 +756,7 @@ def bottomup_word_count_reduce(
     vals = np.concatenate(val_parts)
     owner = np.concatenate(owner_parts)
 
-    num_buckets, capacity = _table_geometry(flat.vocabulary_size)
+    num_buckets, capacity = _table_geometry(layout.vocabulary_size)
     hash_ops, hash_mem, conflicts, out_keys, out_vals = _hash_program(
         keys, vals, num_buckets, capacity
     )
@@ -958,7 +788,6 @@ def bottomup_per_file_counts_reduce(
 
     Returns ``(file indices, word ids, counts)`` sorted by ``(file, word id)``.
     """
-    flat = flattened(layout)
     targets = sorted(set(file_indices)) if file_indices is not None else None
 
     # The unfiltered contribution stream (which child table feeds which
@@ -966,7 +795,7 @@ def bottomup_per_file_counts_reduce(
     # and the session's cached local tables, so assemble it once per
     # local-tables build; only the merged sums are recomputed per query.
     if targets is None:
-        cached = getattr(flat, "file_reduce_geom", None)
+        cached = layout.file_reduce_geom
         if cached is not None and cached[0] is local_tables:
             num_threads, ops, mem, inv, vals, uniq_files, uniq_words = cached[1]
             sums = np.bincount(inv, weights=vals, minlength=len(uniq_words)).astype(_I64)
@@ -982,7 +811,7 @@ def bottomup_per_file_counts_reduce(
     table_sizes = np.asarray([len(k) for k in key_arrays], dtype=_I64)
     uniq_files = uniq_words = sums = np.zeros(0, dtype=_I64)
 
-    files = targets if targets is not None else list(range(flat.num_files))
+    files = targets if targets is not None else list(range(layout.num_files))
     num_threads = max(1, len(files))
     ops = np.zeros(num_threads, dtype=_F64)
     mem = np.zeros(num_threads, dtype=_F64)
@@ -990,11 +819,11 @@ def bottomup_per_file_counts_reduce(
     val_parts: List[np.ndarray] = []
     owner_parts: List[np.ndarray] = []
     for tid, file_index in enumerate(files):
-        if file_index >= flat.num_files:
+        if file_index >= layout.num_files:
             continue
-        rwc = int(flat.rw_count[file_index])
-        lo, hi = int(flat.rc_off[file_index]), int(flat.rc_off[file_index + 1])
-        children = flat.rc_child[lo:hi]
+        rwc = int(layout.rw_count[file_index])
+        lo, hi = int(layout.rc_off[file_index]), int(layout.rc_off[file_index + 1])
+        children = layout.rc_child[lo:hi]
         degree = hi - lo
         entries = int(table_sizes[children].sum())
         ops[tid] = (
@@ -1004,12 +833,12 @@ def bottomup_per_file_counts_reduce(
             wc.HASH_UPDATE_BYTES * (rwc + entries) + wc.EDGE_VISIT_BYTES * degree
         )
         # Contribution stream for this file (merged globally below).
-        rlo, rhi = int(flat.rw_off[file_index]), int(flat.rw_off[file_index + 1])
+        rlo, rhi = int(layout.rw_off[file_index]), int(layout.rw_off[file_index + 1])
         if rhi > rlo:
-            key_parts.append(flat.rw_keys[rlo:rhi])
-            val_parts.append(flat.rw_vals[rlo:rhi])
+            key_parts.append(layout.rw_keys[rlo:rhi])
+            val_parts.append(layout.rw_vals[rlo:rhi])
             owner_parts.append(np.full(rhi - rlo, file_index, dtype=_I64))
-        for child, freq in zip(children.tolist(), flat.rc_freq[lo:hi].tolist()):
+        for child, freq in zip(children.tolist(), layout.rc_freq[lo:hi].tolist()):
             child_keys = key_arrays[child]
             if len(child_keys):
                 key_parts.append(child_keys)
@@ -1018,10 +847,10 @@ def bottomup_per_file_counts_reduce(
     if key_parts:
         vals = np.concatenate(val_parts)
         uniq_files, uniq_words, sums, inv = _merge_file_words(
-            np.concatenate(owner_parts), np.concatenate(key_parts), vals, flat.vocabulary_size
+            np.concatenate(owner_parts), np.concatenate(key_parts), vals, layout.vocabulary_size
         )
         if targets is None:
-            flat.file_reduce_geom = (
+            layout.file_reduce_geom = (
                 local_tables,
                 (num_threads, ops, mem, inv, vals, uniq_files, uniq_words),
             )
@@ -1177,7 +1006,6 @@ def sequence_counts_vec(
     Returns ``(gram rows, counts)``: an ``(n, sequence_length)`` array of
     word ids in first-occurrence order and the matching counts.
     """
-    flat = flattened(layout)
     allowed = frozenset(file_indices) if file_indices is not None else None
     overlap = sequence_length - 1
     cache = _skeleton_cache(buffers, layout)
@@ -1220,10 +1048,10 @@ def sequence_counts_vec(
     rule_launch = None
 
     if allowed is None:
-        rules, starts, ends = flat.assignments(scheduler, "sequence")
+        rules, starts, ends = layout.assignments(scheduler, "sequence")
     else:
         rule_ids = np.flatnonzero(weights_arr[1 : layout.num_rules]).astype(_I64) + 1
-        rules, starts, ends = flat.partition(scheduler, rule_ids, flat.rule_lengths[rule_ids])
+        rules, starts, ends = layout.partition(scheduler, rule_ids, layout.rule_lengths[rule_ids])
 
     if len(rules):
         num_threads = len(rules)
@@ -1235,7 +1063,7 @@ def sequence_counts_vec(
             if weight == 0 or end <= start:
                 continue
             skeleton = _rule_skeleton(cache, layout, buffers, rule_id)
-            body_length = int(flat.rule_lengths[rule_id])
+            body_length = int(layout.rule_lengths[rule_id])
             extended_end = min(body_length, end + overlap)
             num_elements, num_windows, valid_rows = _windows_for_span(
                 skeleton, sequence_length, start, end, extended_end
@@ -1414,8 +1242,7 @@ def build_relational_tables_vec(
     """
     from repro.relational import compute as rc
 
-    flat = flattened(layout)
-    n = flat.num_rules
+    n = layout.num_rules
     device.launch_bulk(
         "initRelationalMaskKernel",
         n,
@@ -1425,12 +1252,10 @@ def build_relational_tables_vec(
 
     anchors = rc.anchor_ids(schema, dictionary)
     caps = rc.schema_caps(schema)
-    body_lengths = np.asarray(
-        [len(body) for body in layout.rule_bodies], dtype=_F64
-    )
+    body_lengths = layout.rule_lengths.astype(_F64)
     states = [rc.empty_state(len(anchors)) for _ in range(n)]
     cur_out = np.zeros(n, dtype=_I64)
-    pending = sorted(np.flatnonzero(flat.num_out == 0))
+    pending = sorted(np.flatnonzero(layout.num_out_edges == 0))
     while True:
         ops = np.full(n, wc.MASK_CHECK_OPS, dtype=_F64)
         mem = np.full(n, 4.0, dtype=_F64)
@@ -1449,15 +1274,15 @@ def build_relational_tables_vec(
             states[r] = rc.fold_symbol_states(
                 layout.rule_bodies[r], states, anchors, caps
             )
-            slo, shi = int(flat.sr_off[r]), int(flat.sr_off[r + 1])
+            slo, shi = int(layout.sr_off[r]), int(layout.sr_off[r + 1])
             degree = shi - slo
-            plo, phi = int(flat.par_off[r]), int(flat.par_off[r + 1])
-            ps = flat.par_ids[plo:phi]
+            plo, phi = int(layout.par_off[r]), int(layout.par_off[r + 1])
+            ps = layout.par_ids[plo:phi]
             num_parents = phi - plo
             if num_parents:
                 cur_out[ps] += 1
                 touch_counts[ps] += 1
-                newly = ps[cur_out[ps] == flat.num_out[ps]]
+                newly = ps[cur_out[ps] == layout.num_out_edges[ps]]
             else:
                 newly = ()
             ops[r] += (

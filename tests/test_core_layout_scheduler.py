@@ -28,32 +28,42 @@ class TestLayout:
     def test_shapes_match_grammar(self, layout, few_files_compressed):
         grammar = few_files_compressed.grammar
         assert layout.num_rules == len(grammar)
-        assert layout.rule_lengths == [len(rule) for rule in grammar]
+        assert layout.rule_lengths.tolist() == [len(rule) for rule in grammar]
         assert layout.num_files == len(few_files_compressed.file_names)
 
     def test_local_words_exclude_splitters(self, many_files_layout, many_files_compressed):
-        for words in many_files_layout.local_words:
-            for word_id, _count in words:
-                assert not many_files_compressed.is_splitter(word_id)
+        for word_id in many_files_layout.lw_keys.tolist():
+            assert not many_files_compressed.is_splitter(word_id)
 
     def test_local_word_totals_equal_corpus_tokens(self, layout, few_files_compressed):
         total = 0
-        for rule_id, words in enumerate(layout.local_words):
-            weight = layout.rule_weights[rule_id]
-            total += weight * sum(count for _word, count in words)
+        for rule_id in range(layout.num_rules):
+            weight = int(layout.rule_weights[rule_id])
+            total += weight * sum(count for _word, count in layout.local_words(rule_id))
         assert total == few_files_compressed.original_tokens
 
     def test_num_in_edges_exclude_root(self, layout):
         # A rule referenced only by the root must have zero in-edges.
-        root_children = {child for child, _count in layout.subrules[0]}
+        root_children = {child for child, _count in layout.subrules(0)}
         only_root = [
             rule_id
             for rule_id in range(1, layout.num_rules)
-            if layout.parents[rule_id] == [0]
+            if layout.parents(rule_id) == [0]
         ]
         for rule_id in only_root:
             assert rule_id in root_children
             assert layout.num_in_edges[rule_id] == 0
+
+    def test_subrules_match_dag_children(self, layout, few_files_compressed):
+        dag = few_files_compressed.dag
+        for rule_id in range(layout.num_rules):
+            assert layout.subrules(rule_id) == dag.children[rule_id]
+        assert layout.num_out_edges.tolist() == dag.num_out_edges
+
+    def test_parents_ignore_multiplicity(self, layout, few_files_compressed):
+        dag = few_files_compressed.dag
+        for rule_id in range(layout.num_rules):
+            assert layout.parents(rule_id) == [parent for parent, _count in dag.parents[rule_id]]
 
     def test_root_elements_cover_all_non_splitter_positions(self, layout, few_files_compressed):
         non_splitters = [
@@ -61,19 +71,19 @@ class TestLayout:
             for symbol in few_files_compressed.grammar.root.symbols
             if is_rule_ref(symbol) or not few_files_compressed.is_splitter(symbol)
         ]
-        assert len(layout.root_elements) == len(non_splitters)
+        covered = sum(end - start for start, end in layout.root_segments)
+        assert covered == len(non_splitters)
+        assert int(layout.rw_vals.sum() + layout.rc_freq.sum()) == len(non_splitters)
 
     def test_root_per_file_tables_consistent_with_segments(self, layout):
         for file_index, (start, end) in enumerate(layout.root_segments):
-            rule_occurrences = sum(layout.root_subrule_freq_per_file[file_index].values())
-            word_occurrences = sum(layout.root_words_per_file[file_index].values())
-            assert rule_occurrences + word_occurrences == sum(
-                1 for element in layout.root_elements if element.file_index == file_index
-            )
+            rule_occurrences = sum(count for _child, count in layout.root_subrules(file_index))
+            word_occurrences = sum(count for _word, count in layout.root_words(file_index))
+            assert rule_occurrences + word_occurrences == end - start
 
     def test_expansion_lengths_and_weights_forwarded(self, layout, few_files_compressed):
-        assert layout.expansion_lengths == list(few_files_compressed.dag.expansion_lengths)
-        assert layout.rule_weights == list(few_files_compressed.dag.weights)
+        assert layout.expansion_lengths.tolist() == list(few_files_compressed.dag.expansion_lengths)
+        assert layout.rule_weights.tolist() == list(few_files_compressed.dag.weights)
 
     def test_device_footprint_positive(self, layout):
         assert layout.device_footprint_bytes() > 0
@@ -123,7 +133,7 @@ class TestFineGrainedScheduler:
     def test_partition_items_covers_items(self, layout):
         scheduler = FineGrainedScheduler(layout)
         rule_ids = list(range(layout.num_rules))
-        items = [len(layout.local_words[rule_id]) for rule_id in rule_ids]
+        items = layout.lw_count[rule_ids].tolist()
         assignments = scheduler.partition_items(rule_ids, items)
         covered = {rule_id: 0 for rule_id in rule_ids}
         for assignment in assignments:
@@ -153,7 +163,8 @@ class TestVerticalPartitioning:
         scheduler = VerticalPartitioningScheduler(many_files_layout, num_partitions=8)
         partitions = scheduler.partition_root()
         positions = [position for partition in partitions for position in partition]
-        assert sorted(positions) == list(range(len(many_files_layout.root_elements)))
+        num_elements = sum(end - start for start, end in many_files_layout.root_segments)
+        assert sorted(positions) == list(range(num_elements))
 
     def test_redundancy_at_least_one(self, many_files_layout):
         scheduler = VerticalPartitioningScheduler(many_files_layout, num_partitions=8)

@@ -83,9 +83,3 @@ class TestStatistics:
             ]
             total += dag.weights[rule.rule_id] * len(terminals)
         assert total == few_files_compressed.original_tokens
-
-    def test_subrule_frequency_lists_match_children(self, example_dag):
-        assert example_dag.subrule_frequency_lists() == example_dag.children
-
-    def test_parent_lists_ignore_multiplicity(self, example_dag):
-        assert example_dag.parent_lists() == [[], [0], [0, 1]]

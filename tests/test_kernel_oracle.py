@@ -302,10 +302,10 @@ def test_thread_partitions_match_partition_items(key):
     splits most rules, so uneven splits are compared too.
     """
     layout = DeviceRuleLayout.from_compressed(_corpus(key))
-    flat = vectorized.flattened(layout)
+    flat = layout
     file_weights = traversal.compute_file_weights_topdown(layout, GPUDevice())
     n = layout.num_rules
-    local_items = [len(words) for words in layout.local_words]
+    local_items = layout.lw_count.tolist()
     subsets = ((0, layout.num_files - 1), tuple(range(0, layout.num_files, 2)))
     schedulers = (
         FineGrainedScheduler(layout),

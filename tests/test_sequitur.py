@@ -129,3 +129,35 @@ class TestInvariants:
             for symbol in rule.symbols:
                 if is_rule_ref(symbol):
                     assert 0 <= -symbol - 1 < len(grammar)
+
+
+class TestLiveRulesOnly:
+    def test_encoder_holds_no_inlined_rule(self):
+        """A referent walk from the encoder finds only the grammar's rules.
+
+        Rule utility inlines rules that drop to one reference; the
+        encoder must not keep them alive, or a long-lived encoder holds
+        every rule it ever created.
+        """
+        import gc
+        import random
+
+        from repro.compression.sequitur import _SequiturRule, _SequiturSymbol
+
+        rng = random.Random(5)
+        encoder, grammar = encode([rng.randrange(6) for _ in range(3000)])
+        assert encoder._rule_counter > len(grammar), "the stream must inline some rules"
+        followed = (dict, list, tuple, set, SequiturEncoder, _SequiturRule, _SequiturSymbol)
+        seen = set()
+        stack = [encoder]
+        rules = 0
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            rules += isinstance(obj, _SequiturRule)
+            stack.extend(ref for ref in gc.get_referents(obj) if isinstance(ref, followed))
+        assert rules == len(grammar.rules)
+        assert encoder.check_digram_uniqueness()
+        assert encoder.check_rule_utility()

@@ -161,6 +161,23 @@ class TestDeviceSession:
         assert clone.layout is session.layout
         assert not clone.has_state(RULE_WEIGHTS)
 
+    def test_single_runs_build_one_layout(self, tiny_compressed, monkeypatch):
+        """Fresh sessions share the layout even before anything read it."""
+        from repro.core.layout import DeviceRuleLayout
+
+        built = []
+        build = DeviceRuleLayout.from_compressed.__func__
+
+        def counting(cls, compressed):
+            built.append(compressed)
+            return build(cls, compressed)
+
+        monkeypatch.setattr(DeviceRuleLayout, "from_compressed", classmethod(counting))
+        engine = GTadoc(tiny_compressed)
+        for task in (Task.WORD_COUNT, Task.TERM_VECTOR, Task.SEQUENCE_COUNT):
+            engine.run(task)
+        assert len(built) == 1
+
     def test_drain_splits_phases(self, tiny_compressed):
         session = DeviceSession(tiny_compressed)
         session.ensure(BASE_INIT, BOTTOMUP_BOUNDS, LOCAL_TABLES, RULE_WEIGHTS)
