@@ -127,6 +127,7 @@ def _ensure_rules_loaded() -> None:
         rules_checked_decode,
         rules_determinism,
         rules_epoch_guard,
+        rules_kernel_memo,
         rules_kernels,
         rules_lock_order,
         rules_plans,

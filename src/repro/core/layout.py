@@ -17,13 +17,23 @@ builds them from the grammar's symbols in a few data-parallel passes
 loop per symbol.  A per-thread reader takes a row with the accessor
 methods (:meth:`~DeviceRuleLayout.subrules` and friends), which convert
 it to Python ints with ``.tolist()`` before it iterates.
+
+The layout is immutable and lives for one corpus epoch, so it also
+carries the kernels' memo (:meth:`DeviceRuleLayout.memo`): one entry per
+key, holding a value derived from the layout and from the session-state
+objects a query passes (the thread partitions per scheduler geometry,
+and each unfiltered reduce's launch vectors and key geometry; see
+:mod:`repro.core.vectorized`).  An entry is used only while each of its
+inputs is the very object the caller passes now, so replaced session
+state retires it; file-subset queries bypass the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from operator import is_
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Tuple, TypeVar
 
 import numpy as np
 
@@ -35,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["DeviceRuleLayout", "Partition"]
 
 _I64 = np.int64
+_T = TypeVar("_T")
 
 #: A kernel's thread partition: ``(rules, starts, ends)``, one entry per
 #: simulated thread, each thread scanning items ``[start, end)`` of its rule.
@@ -134,13 +145,11 @@ class DeviceRuleLayout:
     #: Per rule: raw body symbols (rule references encoded negatively).
     #: ``rule_bodies[0]`` is the root body, splitters included.
     rule_bodies: List[List[int]]
-    # Thread partitions, cached per scheduler geometry; the layout is
-    # immutable, so they are pure functions of it.
-    _group_sizes: Dict[Tuple, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-    _assignments: Dict[Tuple, Partition] = field(default_factory=dict, init=False, repr=False)
-    #: The bottom-up per-file reduce's geometry, keyed by the local tables
-    #: it was assembled from (see ``bottomup_per_file_counts_reduce``).
-    file_reduce_geom: Optional[Tuple] = field(default=None, init=False, repr=False)
+    #: Kernel inputs derived from this layout, one ``(inputs, value)``
+    #: entry per key (see :meth:`memo`).
+    _memo: Dict[Hashable, Tuple[Tuple[object, ...], Any]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     # -- construction ----------------------------------------------------------------
     @classmethod
@@ -272,6 +281,23 @@ class DeviceRuleLayout:
         metadata_bytes = self.num_rules * 6 * 8
         return symbol_bytes + adjacency_bytes + word_bytes + metadata_bytes
 
+    # -- kernel memo -------------------------------------------------------------------
+    def memo(self, key: Hashable, inputs: Tuple[object, ...], build: Callable[[], _T]) -> _T:
+        """The value stored under ``key`` for ``inputs``, built on first use.
+
+        The entry is used only while each of ``inputs`` is the very object
+        it was built from (compared with ``is``; the entry holds them, so
+        their ids cannot be reused).  Otherwise ``build()`` runs and its
+        value replaces the entry, so the memo holds one entry per key and
+        a value lives as long as this layout, the corpus epoch it belongs to.
+        """
+        entry = self._memo.get(key)
+        if entry is not None and len(entry[0]) == len(inputs) and all(map(is_, entry[0], inputs)):
+            return entry[1]
+        value = build()
+        self._memo[key] = (inputs, value)
+        return value
+
     # -- scheduling ------------------------------------------------------------------
     def partition(
         self, scheduler: "FineGrainedScheduler", rule_ids: np.ndarray, items: np.ndarray
@@ -283,11 +309,11 @@ class DeviceRuleLayout:
         splits them evenly over ``min(group size, items)`` threads, the
         first ``items % threads`` of which take one extra item.
         """
-        key = (scheduler.oversize_threshold, scheduler.max_group_size)
-        sizes = self._group_sizes.get(key)
-        if sizes is None:
-            sizes = np.asarray(scheduler.group_sizes(), dtype=_I64)
-            self._group_sizes[key] = sizes
+        sizes = self.memo(
+            ("group sizes", scheduler.oversize_threshold, scheduler.max_group_size),
+            (),
+            lambda: np.asarray(scheduler.group_sizes(), dtype=_I64),
+        )
         group = np.where(items > 1, np.minimum(sizes[rule_ids], items), 1)
         lane = np.arange(int(group.sum()), dtype=_I64) - np.repeat(_offsets(group)[:-1], group)
         base, extra = np.divmod(np.repeat(items, group), np.repeat(group, group))
@@ -295,20 +321,18 @@ class DeviceRuleLayout:
         return np.repeat(rule_ids, group), starts, starts + base + (lane < extra)
 
     def assignments(self, scheduler: "FineGrainedScheduler", tag: str) -> Partition:
-        """Cached thread partitions for the three unfiltered reduce shapes."""
-        key = (tag, scheduler.oversize_threshold, scheduler.max_group_size)
-        cached = self._assignments.get(key)
-        if cached is None:
+        """Memoized thread partitions for the three unfiltered reduce shapes."""
+        if tag not in ("corpus", "file", "sequence"):  # pragma: no cover - internal misuse
+            raise ValueError(f"unknown assignment tag: {tag!r}")
+
+        def build() -> Partition:
             rule_ids = np.arange(0 if tag == "corpus" else 1, self.num_rules, dtype=_I64)
-            if tag in ("corpus", "file"):
-                items = self.lw_count[rule_ids]
-            elif tag == "sequence":
-                items = self.rule_lengths[rule_ids]
-            else:  # pragma: no cover - internal misuse
-                raise ValueError(f"unknown assignment tag: {tag!r}")
-            cached = self.partition(scheduler, rule_ids, items)
-            self._assignments[key] = cached
-        return cached
+            items = self.rule_lengths if tag == "sequence" else self.lw_count
+            return self.partition(scheduler, rule_ids, items[rule_ids])
+
+        return self.memo(
+            ("assignments", tag, scheduler.oversize_threshold, scheduler.max_group_size), (), build
+        )
 
     def gather_local_words(
         self, rules: np.ndarray, starts: np.ndarray, ends: np.ndarray

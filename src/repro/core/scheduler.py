@@ -19,7 +19,7 @@ that shows why it was abandoned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.compression.grammar import is_rule_ref, rule_ref_id
 from repro.core.layout import DeviceRuleLayout
@@ -67,6 +67,7 @@ class FineGrainedScheduler:
         # Group sizes are a pure function of the (immutable) layout and
         # the two thresholds; computed once, reused by every launch.
         self._group_sizes: List[int] = []
+        self._summary: Optional[Dict[str, float]] = None
 
     # -- group sizing -------------------------------------------------------------------
     def group_sizes(self) -> List[int]:
@@ -153,15 +154,17 @@ class FineGrainedScheduler:
         return assignments
 
     def summary(self) -> Dict[str, float]:
-        """Scheduling statistics (used by reports and tests)."""
-        groups = self.group_sizes()[: self.layout.num_rules]
-        return {
-            "rules": float(self.layout.num_rules),
-            "threads": float(sum(groups)),
-            "grouped_rules": float(sum(1 for group in groups if group > 1)),
-            "max_group_size": float(max(groups) if groups else 0),
-            "average_rule_length": self.layout.average_rule_length,
-        }
+        """Scheduling statistics (used by reports and tests), a new dict per call."""
+        if self._summary is None:
+            groups = self.group_sizes()[: self.layout.num_rules]
+            self._summary = {
+                "rules": float(self.layout.num_rules),
+                "threads": float(sum(groups)),
+                "grouped_rules": float(sum(1 for group in groups if group > 1)),
+                "max_group_size": float(max(groups) if groups else 0),
+                "average_rule_length": self.layout.average_rule_length,
+            }
+        return dict(self._summary)
 
 
 class VerticalPartitioningScheduler:

@@ -5,9 +5,8 @@ The reference kernels in :mod:`repro.core.traversal` and
 Python callback, which specifies each launch faithfully but makes
 wall-clock time interpreter-bound.  This module implements the same
 kernels as numpy array programs over the CSR arrays of
-:class:`~repro.core.layout.DeviceRuleLayout`, the one device layout
-(its thread partitions are cached on it as well), then records each
-launch through
+:class:`~repro.core.layout.DeviceRuleLayout`, the one device layout,
+then records each launch through
 :meth:`~repro.gpusim.device.GPUDevice.launch_bulk` with per-thread work
 vectors.  The session and the task plans call these functions directly;
 only kernels without a bulk port (the head/tail buffers and the
@@ -43,18 +42,44 @@ shape results in id space and decode last
 Their references return the same content as dicts (a list of per-file
 dicts for per-file counts); the oracle converts between the two.
 
-The hash-table cost model in :func:`_hash_program` mirrors
+Hash-table cost model
+---------------------
+:func:`_hash_geometry` mirrors
 :meth:`repro.gpusim.hashtable.DeviceHashTable.insert_add` exactly:
 an *update* of the key at 0-based chain position ``p`` costs
 ``2p + 5`` ops / ``16p + 32`` bytes and one tracked atomic, an *insert*
 behind ``p`` existing chain nodes costs ``4p + 8`` ops /
-``32p + 49`` bytes and one tracked atomic (the bucket-lock CAS).
+``32p + 49`` bytes and one tracked atomic (the bucket-lock CAS).  Chain
+positions, costs, conflicts and slot order depend on the key stream
+alone, so pricing a launch is split in two: the key-only geometry
+(per-op costs, conflicts, first-occurrence slot order and the inverse
+map from ops to keys) and the value fold
+(:func:`_fold`: ``np.bincount(inverse, weights=values)[order]``).
+
+Kernel memo
+-----------
+An unfiltered reduce's key stream is fixed for a whole corpus epoch, so
+each one memoizes its launch vectors, key geometry and op values on the
+layout (:meth:`~repro.core.layout.DeviceRuleLayout.memo`): top-down and
+bottom-up corpus counts, top-down and bottom-up per-file counts, and
+sequence counts per length (its window skeletons, launches, interned
+grams and merge table; the merge table's keys are the gram indices
+``0..n-1``, so its fold is the identity).  An entry is used only while
+its inputs are the very session-state objects the caller passes (rule
+weights, file weights, local tables, sequence buffers, and the
+scheduler), so ``invalidate()``, ``configure()`` and a delta sync, which
+replace them, also retire it; the layout itself lives for one epoch.
+The first query of an epoch fills an entry by doing the per-query work,
+and later ones run only the fold and the launches.  File-subset queries
+bypass the memo and build their launches and geometry per query.  The
+functions here keep no other state across calls (lint rule
+``kernel-memo``).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,25 +115,32 @@ _HASH_MULT = 2654435761
 # DeviceHashTable cost model
 # ----------------------------------------------------------------------------------------
 
-def _hash_program(
-    op_keys: np.ndarray,
-    op_values: np.ndarray,
-    num_buckets: int,
-    capacity: int,
-) -> Tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
-    """Replay a single-launch ``insert_add`` stream against one table.
+class _HashGeometry(NamedTuple):
+    """The key-only half of one launch's ``insert_add`` stream."""
 
-    ``op_keys``/``op_values`` are the stream in charge order.  Returns
-    ``(ops, mem, conflicts, keys, sums)``: per-op op/byte costs (each op
-    also performs exactly one tracked atomic), the launch's total atomic
-    conflicts (value-slot adds plus bucket-lock CASes), and the table
-    contents in node-slot (insertion) order.
+    #: Per-op ops and bytes; each op also performs exactly one tracked atomic.
+    ops: np.ndarray
+    mem: np.ndarray
+    #: The launch's atomic conflicts: value-slot adds plus bucket-lock CASes.
+    conflicts: float
+    #: The table's keys in node-slot (insertion) order.
+    keys: np.ndarray
+    #: Per op, and per node slot, its key's index among the sorted keys.
+    inverse: np.ndarray
+    order: np.ndarray
+
+
+def _hash_geometry(op_keys: np.ndarray, num_buckets: int, capacity: int) -> _HashGeometry:
+    """Replay the keys of a single-launch ``insert_add`` stream against one table.
+
+    ``op_keys`` is the stream in charge order.  Chain positions, costs,
+    conflicts and slot order depend on the keys alone; the table's
+    values are ``_fold(inverse, op_values, len(keys), order)``.
     """
-    n_ops = len(op_keys)
-    if n_ops == 0:
+    if len(op_keys) == 0:
         empty_f = np.zeros(0, dtype=_F64)
         empty_i = np.zeros(0, dtype=_I64)
-        return empty_f, empty_f, 0.0, empty_i, empty_i
+        return _HashGeometry(empty_f, empty_f, 0.0, empty_i, empty_i, empty_i)
     keys = np.asarray(op_keys, dtype=_I64)
     uniq, first_idx, inv = np.unique(keys, return_index=True, return_inverse=True)
     if len(uniq) > capacity:
@@ -129,7 +161,7 @@ def _hash_program(
     chain_pos = np.empty(len(uniq), dtype=_I64)
     chain_pos[sorter] = np.arange(len(uniq), dtype=_I64) - group_start
     p = chain_pos[inv]
-    is_insert = np.arange(n_ops, dtype=_I64) == first_idx[inv]
+    is_insert = np.arange(len(keys), dtype=_I64) == first_idx[inv]
     ops = np.where(is_insert, 4 * p + 8, 2 * p + 5).astype(_F64)
     mem = np.where(is_insert, 32 * p + 49, 16 * p + 32).astype(_F64)
     # Conflicts: a key seen ``occ`` times gets ``occ - 1`` tracked adds on
@@ -138,9 +170,27 @@ def _hash_program(
     occ = np.bincount(inv, minlength=len(uniq))
     value_conflicts = int(np.maximum(0, occ - 2).sum())
     lock_conflicts = int(len(uniq) - len(np.unique(buckets)))
-    sums = np.zeros(len(uniq), dtype=_I64)
-    np.add.at(sums, inv, np.asarray(op_values, dtype=_I64))
-    return ops, mem, float(value_conflicts + lock_conflicts), uniq[order], sums[order]
+    return _HashGeometry(
+        ops, mem, float(value_conflicts + lock_conflicts), uniq[order], inv, order
+    )
+
+
+def _fold(
+    inverse: np.ndarray, values: np.ndarray, size: int, order: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Sum ``values`` into ``size`` slots by ``inverse``, then take the slots in ``order``."""
+    sums = np.bincount(inverse, weights=values, minlength=size).astype(_I64)
+    return sums if order is None else sums[order]
+
+
+class _Launch(NamedTuple):
+    """One launch's per-thread work, as :meth:`GPUDevice.launch_bulk` takes it."""
+
+    num_threads: int
+    thread_ops: np.ndarray
+    thread_memory_bytes: np.ndarray
+    thread_atomic_ops: Optional[np.ndarray] = None
+    atomic_conflicts: float = 0.0
 
 
 def _table_geometry(expected_keys: int) -> Tuple[int, int]:
@@ -356,6 +406,39 @@ def compute_file_weights(layout: DeviceRuleLayout, device: GPUDevice) -> FileWei
     return result
 
 
+class _ReducePlan(NamedTuple):
+    """A corpus-table reduce: its launch, its table's slots and its op values."""
+
+    launch: _Launch
+    #: The table's keys, and the inverse map and slot order of its geometry.
+    keys: np.ndarray
+    inverse: np.ndarray
+    order: np.ndarray
+    values: np.ndarray
+
+    def fold(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(word ids, counts)`` in hash-table insertion order."""
+        return self.keys, _fold(self.inverse, self.values, len(self.keys), self.order)
+
+
+def _reduce_plan(
+    layout: DeviceRuleLayout,
+    owner: np.ndarray,
+    keys: np.ndarray,
+    vals: np.ndarray,
+    ops: np.ndarray,
+    mem: np.ndarray,
+) -> _ReducePlan:
+    """Price a corpus-table reduce whose threads do ``ops``/``mem`` besides their inserts."""
+    num_threads = len(ops)
+    table = _hash_geometry(keys, *_table_geometry(layout.vocabulary_size))
+    ops = ops + _thread_sums(owner, wc.SYMBOL_VISIT_OPS + table.ops, num_threads)
+    mem = mem + _thread_sums(owner, wc.SYMBOL_VISIT_BYTES + table.mem, num_threads)
+    atomics = _thread_sums(owner, np.ones(len(owner), dtype=_F64), num_threads)
+    launch = _Launch(num_threads, ops, mem, atomics, table.conflicts)
+    return _ReducePlan(launch, table.keys, table.inverse, table.order, vals)
+
+
 def topdown_word_count_reduce(
     layout: DeviceRuleLayout,
     scheduler: FineGrainedScheduler,
@@ -363,66 +446,67 @@ def topdown_word_count_reduce(
     weights: Sequence[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Bulk port of the top-down ``reduceResultKernel``: ``(word ids, counts)``."""
+    plan = layout.memo(
+        "top-down corpus reduce",
+        (weights, scheduler),
+        lambda: _topdown_corpus_plan(layout, scheduler, weights),
+    )
+    device.launch_bulk("reduceResultKernel", **plan.launch._asdict())
+    return plan.fold()
+
+
+def _topdown_corpus_plan(
+    layout: DeviceRuleLayout, scheduler: FineGrainedScheduler, weights: Sequence[int]
+) -> _ReducePlan:
     rules, starts, ends = layout.assignments(scheduler, "corpus")
     num_threads = max(1, len(rules))
-    weights_arr = np.asarray(weights, dtype=_I64)
-    thread_weight = weights_arr[rules]
-
+    thread_weight = np.asarray(weights, dtype=_I64)[rules]
     active = thread_weight != 0
-    owner, keys, vals = layout.gather_local_words(
-        rules[active] if active.any() else rules[:0],
-        starts[active] if active.any() else starts[:0],
-        ends[active] if active.any() else ends[:0],
-    )
+    owner, keys, vals = layout.gather_local_words(rules[active], starts[active], ends[active])
     if len(owner):
-        active_tids = np.flatnonzero(active).astype(_I64)
-        owner = active_tids[owner]
+        owner = np.flatnonzero(active)[owner]
         vals = vals * thread_weight[owner]
+    ops = np.zeros(num_threads, dtype=_F64)
+    mem = np.zeros(num_threads, dtype=_F64)
+    ops[: len(rules)] = wc.MASK_CHECK_OPS
+    mem[: len(rules)] = 8.0
+    return _reduce_plan(layout, owner, keys, vals, ops, mem)
 
-    num_buckets, capacity = _table_geometry(layout.vocabulary_size)
-    hash_ops, hash_mem, conflicts, out_keys, out_vals = _hash_program(
-        keys, vals, num_buckets, capacity
-    )
-    ops = np.full(num_threads, wc.MASK_CHECK_OPS, dtype=_F64)
-    mem = np.full(num_threads, 8.0, dtype=_F64)
-    ops[len(rules):] = 0.0
-    mem[len(rules):] = 0.0
-    ops += _thread_sums(owner, wc.SYMBOL_VISIT_OPS + hash_ops, num_threads)
-    mem += _thread_sums(owner, wc.SYMBOL_VISIT_BYTES + hash_mem, num_threads)
-    atomics = _thread_sums(owner, np.ones(len(owner), dtype=_F64), num_threads)
-    device.launch_bulk(
-        "reduceResultKernel",
-        num_threads,
-        thread_ops=ops,
-        thread_memory_bytes=mem,
-        thread_atomic_ops=atomics,
-        atomic_conflicts=conflicts,
-    )
-    return out_keys, out_vals
+
+class _FileRows(NamedTuple):
+    """A ``(file, word id, value)`` stream merged into per-file rows."""
+
+    #: The rows, sorted by ``(file, word id)``.
+    files: np.ndarray
+    words: np.ndarray
+    #: Per stream entry, its row; and the entries' values.
+    inverse: np.ndarray
+    values: np.ndarray
+
+    def fold(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(file indices, word ids, counts)``."""
+        return self.files, self.words, _fold(self.inverse, self.values, len(self.words))
 
 
 def _merge_file_words(
-    files: np.ndarray, words: np.ndarray, counts: np.ndarray, vocabulary_size: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Sum ``counts`` per ``(file, word id)`` in one global merge.
+    files: np.ndarray, words: np.ndarray, values: np.ndarray, vocabulary_size: int
+) -> _FileRows:
+    """Merge a contribution stream into one row per ``(file, word id)``.
 
     Word ids are always < ``vocabulary_size``, so ``(file, word)`` packs
     into a single int64 and the sorted unique keys are the ``(file, word
-    id)`` row order.  Returns ``(file indices, word ids, sums, inverse)``,
-    where ``inverse`` maps each input entry to its row.
+    id)`` row order.
     """
     vocab = max(1, int(vocabulary_size))
     uniq, inverse = np.unique(files * vocab + words, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    sums = np.bincount(inverse, weights=counts, minlength=len(uniq)).astype(_I64)
     uniq_files = uniq // vocab
-    return uniq_files, uniq - uniq_files * vocab, sums, inverse
+    return _FileRows(uniq_files, uniq - uniq_files * vocab, inverse.reshape(-1), values)
 
 
 def _file_rows(
     layout: DeviceRuleLayout, columns: np.ndarray, file_indices: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(file indices, word ids, counts)`` of ``file_indices`` (ascending).
+) -> _FileRows:
+    """The rows of ``file_indices`` (ascending).
 
     ``columns`` holds those files' weight columns: every nonzero ``(rule,
     file)`` weight scales the rule's local words, and each file adds its
@@ -435,13 +519,12 @@ def _file_rows(
     wanted = np.zeros(layout.num_files, dtype=bool)
     wanted[file_indices] = True
     root = wanted[layout.rw_file]
-    files, words, counts, _inverse = _merge_file_words(
+    return _merge_file_words(
         np.concatenate([file_indices[at][owner], layout.rw_file[root]]),
         np.concatenate([keys, layout.rw_keys[root]]),
         np.concatenate([vals * columns[rules, at][owner], layout.rw_vals[root]]),
         layout.vocabulary_size,
     )
-    return files, words, counts
 
 
 def topdown_per_file_counts_vec(
@@ -458,9 +541,8 @@ def topdown_per_file_counts_vec(
     ``reduceFileSubsetKernel``.  Returns ``(file indices, word ids,
     counts)`` sorted by ``(file, word id)``.
     """
-    matrix = _dense_file_weights(layout, file_weights)
-
     if file_indices is not None:
+        matrix = _dense_file_weights(layout, file_weights)
         allowed_order = sorted(frozenset(file_indices))
         allowed_cols = np.asarray(allowed_order, dtype=_I64)
         sub = matrix[:, allowed_cols] if len(allowed_cols) else matrix[:, :0]
@@ -492,21 +574,36 @@ def topdown_per_file_counts_vec(
             thread_memory_bytes=mem,
             thread_atomic_ops=atomics,
         )
-        return _file_rows(layout, sub, allowed_cols)
+        return _file_rows(layout, sub, allowed_cols).fold()
 
+    reduce_launch, root_launch, rows = layout.memo(
+        "top-down per-file reduce",
+        (file_weights, scheduler),
+        lambda: _topdown_files_plan(layout, scheduler, file_weights),
+    )
+    if reduce_launch is not None:
+        device.launch_bulk("reduceFileResultKernel", **reduce_launch._asdict())
+    device.launch_bulk("rootWordsKernel", **root_launch._asdict())
+    return rows.fold()
+
+
+def _topdown_files_plan(
+    layout: DeviceRuleLayout,
+    scheduler: FineGrainedScheduler,
+    file_weights: Sequence[Dict[int, int]],
+) -> Tuple[Optional[_Launch], _Launch, _FileRows]:
+    """The unfiltered pair's launches and the rows of every file."""
+    matrix = _dense_file_weights(layout, file_weights)
     rules, starts, ends = layout.assignments(scheduler, "file")
+    reduce_launch = None
     if len(rules):
         spans = np.maximum(0, ends - starts).astype(_F64)
         spread = np.count_nonzero(matrix, axis=1).astype(_F64)[rules]
-        ops = wc.MASK_CHECK_OPS + spans * (wc.SYMBOL_VISIT_OPS + wc.HASH_UPDATE_OPS * spread)
-        mem = 8.0 + spans * (wc.SYMBOL_VISIT_BYTES + wc.HASH_UPDATE_BYTES * spread)
-        atomics = spans * spread
-        device.launch_bulk(
-            "reduceFileResultKernel",
+        reduce_launch = _Launch(
             len(rules),
-            thread_ops=ops,
-            thread_memory_bytes=mem,
-            thread_atomic_ops=atomics,
+            wc.MASK_CHECK_OPS + spans * (wc.SYMBOL_VISIT_OPS + wc.HASH_UPDATE_OPS * spread),
+            8.0 + spans * (wc.SYMBOL_VISIT_BYTES + wc.HASH_UPDATE_BYTES * spread),
+            spans * spread,
         )
 
     num_threads = max(1, layout.num_files)
@@ -514,10 +611,8 @@ def topdown_per_file_counts_vec(
     mem = np.zeros(num_threads, dtype=_F64)
     ops[: layout.num_files] = wc.HASH_UPDATE_OPS * layout.rw_count
     mem[: layout.num_files] = wc.HASH_UPDATE_BYTES * layout.rw_count
-    device.launch_bulk(
-        "rootWordsKernel", num_threads, thread_ops=ops, thread_memory_bytes=mem
-    )
-    return _file_rows(layout, matrix, np.arange(layout.num_files, dtype=_I64))
+    rows = _file_rows(layout, matrix, np.arange(layout.num_files, dtype=_I64))
+    return reduce_launch, _Launch(num_threads, ops, mem), rows
 
 
 # ----------------------------------------------------------------------------------------
@@ -735,6 +830,18 @@ def bottomup_word_count_reduce(
     local_tables: Sequence[Dict[int, int]],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Bulk port of the bottom-up ``reduceResultKernel``: ``(word ids, counts)``."""
+    plan = layout.memo(
+        "bottom-up corpus reduce",
+        (local_tables,),
+        lambda: _bottomup_corpus_plan(layout, local_tables),
+    )
+    device.launch_bulk("reduceResultKernel", **plan.launch._asdict())
+    return plan.fold()
+
+
+def _bottomup_corpus_plan(
+    layout: DeviceRuleLayout, local_tables: Sequence[Dict[int, int]]
+) -> _ReducePlan:
     key_arrays, val_arrays = _table_arrays(local_tables)
     num_threads = 1 + len(layout.level2_child)
 
@@ -752,30 +859,19 @@ def bottomup_word_count_reduce(
             key_parts.append(child_keys)
             val_parts.append(val_arrays[child] * freq)
             owner_parts.append(np.full(len(child_keys), 1 + index, dtype=_I64))
-    keys = np.concatenate(key_parts)
-    vals = np.concatenate(val_parts)
-    owner = np.concatenate(owner_parts)
 
-    num_buckets, capacity = _table_geometry(layout.vocabulary_size)
-    hash_ops, hash_mem, conflicts, out_keys, out_vals = _hash_program(
-        keys, vals, num_buckets, capacity
-    )
     ops = np.full(num_threads, wc.MASK_CHECK_OPS, dtype=_F64)
     mem = np.full(num_threads, 8.0, dtype=_F64)
     ops[0] = 0.0
     mem[0] = 0.0
-    ops += _thread_sums(owner, wc.SYMBOL_VISIT_OPS + hash_ops, num_threads)
-    mem += _thread_sums(owner, wc.SYMBOL_VISIT_BYTES + hash_mem, num_threads)
-    atomics = _thread_sums(owner, np.ones(len(owner), dtype=_F64), num_threads)
-    device.launch_bulk(
-        "reduceResultKernel",
-        num_threads,
-        thread_ops=ops,
-        thread_memory_bytes=mem,
-        thread_atomic_ops=atomics,
-        atomic_conflicts=conflicts,
+    return _reduce_plan(
+        layout,
+        np.concatenate(owner_parts),
+        np.concatenate(key_parts),
+        np.concatenate(val_parts),
+        ops,
+        mem,
     )
-    return out_keys, out_vals
 
 
 def bottomup_per_file_counts_reduce(
@@ -788,36 +884,33 @@ def bottomup_per_file_counts_reduce(
 
     Returns ``(file indices, word ids, counts)`` sorted by ``(file, word id)``.
     """
-    targets = sorted(set(file_indices)) if file_indices is not None else None
+    if file_indices is None:
+        launch, rows = layout.memo(
+            "bottom-up per-file reduce",
+            (local_tables,),
+            lambda: _bottomup_files_plan(layout, local_tables, range(layout.num_files)),
+        )
+    else:
+        launch, rows = _bottomup_files_plan(layout, local_tables, sorted(set(file_indices)))
+    device.launch_bulk("reduceFileResultKernel", **launch._asdict())
+    return rows.fold()
 
-    # The unfiltered contribution stream (which child table feeds which
-    # file, scaled by which frequency) is a pure function of the layout
-    # and the session's cached local tables, so assemble it once per
-    # local-tables build; only the merged sums are recomputed per query.
-    if targets is None:
-        cached = layout.file_reduce_geom
-        if cached is not None and cached[0] is local_tables:
-            num_threads, ops, mem, inv, vals, uniq_files, uniq_words = cached[1]
-            sums = np.bincount(inv, weights=vals, minlength=len(uniq_words)).astype(_I64)
-            device.launch_bulk(
-                "reduceFileResultKernel",
-                num_threads,
-                thread_ops=ops,
-                thread_memory_bytes=mem,
-            )
-            return uniq_files, uniq_words, sums
 
+def _bottomup_files_plan(
+    layout: DeviceRuleLayout,
+    local_tables: Sequence[Dict[int, int]],
+    files: Sequence[int],
+) -> Tuple[_Launch, _FileRows]:
+    """One thread per file of ``files``: its launch and the files' rows."""
     key_arrays, val_arrays = _table_arrays(local_tables)
     table_sizes = np.asarray([len(k) for k in key_arrays], dtype=_I64)
-    uniq_files = uniq_words = sums = np.zeros(0, dtype=_I64)
-
-    files = targets if targets is not None else list(range(layout.num_files))
     num_threads = max(1, len(files))
     ops = np.zeros(num_threads, dtype=_F64)
     mem = np.zeros(num_threads, dtype=_F64)
-    key_parts: List[np.ndarray] = []
-    val_parts: List[np.ndarray] = []
-    owner_parts: List[np.ndarray] = []
+    empty = np.zeros(0, dtype=_I64)
+    key_parts: List[np.ndarray] = [empty]
+    val_parts: List[np.ndarray] = [empty]
+    owner_parts: List[np.ndarray] = [empty]
     for tid, file_index in enumerate(files):
         if file_index >= layout.num_files:
             continue
@@ -844,20 +937,13 @@ def bottomup_per_file_counts_reduce(
                 key_parts.append(child_keys)
                 val_parts.append(val_arrays[child] * freq)
                 owner_parts.append(np.full(len(child_keys), file_index, dtype=_I64))
-    if key_parts:
-        vals = np.concatenate(val_parts)
-        uniq_files, uniq_words, sums, inv = _merge_file_words(
-            np.concatenate(owner_parts), np.concatenate(key_parts), vals, layout.vocabulary_size
-        )
-        if targets is None:
-            layout.file_reduce_geom = (
-                local_tables,
-                (num_threads, ops, mem, inv, vals, uniq_files, uniq_words),
-            )
-    device.launch_bulk(
-        "reduceFileResultKernel", num_threads, thread_ops=ops, thread_memory_bytes=mem
+    rows = _merge_file_words(
+        np.concatenate(owner_parts),
+        np.concatenate(key_parts),
+        np.concatenate(val_parts),
+        layout.vocabulary_size,
     )
-    return uniq_files, uniq_words, sums
+    return _Launch(num_threads, ops, mem), rows
 
 
 # ----------------------------------------------------------------------------------------
@@ -942,27 +1028,12 @@ class _Skeleton:
             self.first_elem = np.zeros(0, dtype=_I64)
 
 
-def _skeleton_cache(buffers, layout: DeviceRuleLayout) -> Dict:
-    cache = getattr(buffers, "_vec_skeletons", None)
-    if cache is None or cache.get("layout") is not layout:
-        cache = {"layout": layout}
-        buffers._vec_skeletons = cache  # type: ignore[attr-defined]
-    return cache
-
-
-def _rule_skeleton(cache: Dict, layout: DeviceRuleLayout, buffers, rule_id: int) -> _Skeleton:
-    skeleton = cache.get(rule_id)
+def _skeleton(skeletons: Dict[int, _Skeleton], layout: DeviceRuleLayout, buffers, rule_id: int) -> _Skeleton:
+    """Rule ``rule_id``'s skeleton (rule 0: the root body), built on first use."""
+    skeleton = skeletons.get(rule_id)
     if skeleton is None:
         skeleton = _Skeleton(layout.rule_bodies[rule_id], buffers, buffers.sequence_length)
-        cache[rule_id] = skeleton
-    return skeleton
-
-
-def _root_skeleton(cache: Dict, layout: DeviceRuleLayout, buffers) -> _Skeleton:
-    skeleton = cache.get("root")
-    if skeleton is None:
-        skeleton = _Skeleton(layout.root_symbols, buffers, buffers.sequence_length)
-        cache["root"] = skeleton
+        skeletons[rule_id] = skeleton
     return skeleton
 
 
@@ -992,6 +1063,29 @@ def _windows_for_span(
     return extended_end - element_start, num_windows, lo + np.flatnonzero(valid).astype(_I64)
 
 
+class _SequencePlan(NamedTuple):
+    """One sequence count's launches, its interned grams and its window values."""
+
+    rule_launch: Optional[_Launch]
+    root_launch: _Launch
+    merge_launch: _Launch
+    #: The distinct grams in first-occurrence order, one row each.
+    rows: np.ndarray
+    #: Per window, and per gram row, its gram's index among the sorted grams.
+    inverse: np.ndarray
+    order: np.ndarray
+    #: Per window, its occurrence weight.
+    values: np.ndarray
+
+    def fold(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(gram rows, counts)``.
+
+        The merge table's keys are the gram rows' indices, each inserted
+        once and in order, so its values are the interned sums themselves.
+        """
+        return self.rows, _fold(self.inverse, self.values, len(self.rows), self.order)
+
+
 def sequence_counts_vec(
     layout: DeviceRuleLayout,
     scheduler: FineGrainedScheduler,
@@ -1006,43 +1100,37 @@ def sequence_counts_vec(
     Returns ``(gram rows, counts)``: an ``(n, sequence_length)`` array of
     word ids in first-occurrence order and the matching counts.
     """
-    allowed = frozenset(file_indices) if file_indices is not None else None
-    overlap = sequence_length - 1
-    cache = _skeleton_cache(buffers, layout)
-    window_offsets = np.arange(sequence_length, dtype=_I64)
-
-    weights_arr = np.asarray(weights, dtype=_I64)
-    # Unfiltered queries always run the same assignment set against the
-    # same weights, so the launch arrays and the concatenated window
-    # stream are pure functions of (layout, scheduler, length).  Cache
-    # them on the session's sequence buffers: repeated sequence queries
-    # then skip the per-assignment Python loops while replaying exactly
-    # the same simulated launches.
-    stream = None
-    if allowed is None:
-        stream = cache.get("stream")
-        if stream is not None and not np.array_equal(stream["weights"], weights_arr):
-            stream = None
-    if stream is not None:
-        rule_launch = stream["rule_launch"]
-        if rule_launch is not None:
-            device.launch_bulk(
-                "sequenceRuleKernel",
-                rule_launch[0],
-                thread_ops=rule_launch[1],
-                thread_memory_bytes=rule_launch[2],
-            )
-        root_launch = stream["root_launch"]
-        device.launch_bulk(
-            "sequenceRootKernel",
-            root_launch[0],
-            thread_ops=root_launch[1],
-            thread_memory_bytes=root_launch[2],
+    if file_indices is None:
+        plan = layout.memo(
+            ("sequence count", sequence_length),
+            (buffers, weights, scheduler),
+            lambda: _sequence_plan(layout, scheduler, buffers, weights, sequence_length, None),
         )
-        mat = stream["mat"]
-        values = stream["values"]
-        return _sequence_merge(layout, device, mat, values, sequence_length, stream=stream)
+    else:
+        plan = _sequence_plan(
+            layout, scheduler, buffers, weights, sequence_length, frozenset(file_indices)
+        )
+    if plan.rule_launch is not None:
+        device.launch_bulk("sequenceRuleKernel", **plan.rule_launch._asdict())
+    device.launch_bulk("sequenceRootKernel", **plan.root_launch._asdict())
+    device.launch_bulk("sequenceMergeKernel", **plan.merge_launch._asdict())
+    return plan.fold()
 
+
+def _sequence_plan(
+    layout: DeviceRuleLayout,
+    scheduler: FineGrainedScheduler,
+    buffers,
+    weights: Sequence[int],
+    sequence_length: int,
+    allowed: Optional[frozenset],
+) -> _SequencePlan:
+    """Scan the windows of every weighted rule and of the root segments
+    (of the ``allowed`` files only, if given), intern them and price the
+    three launches."""
+    overlap = sequence_length - 1
+    skeletons = layout.memo(("skeletons", sequence_length), (buffers,), dict)
+    window_offsets = np.arange(sequence_length, dtype=_I64)
     key_parts: List[np.ndarray] = []
     weight_parts: List[np.ndarray] = []
     rule_launch = None
@@ -1050,6 +1138,7 @@ def sequence_counts_vec(
     if allowed is None:
         rules, starts, ends = layout.assignments(scheduler, "sequence")
     else:
+        weights_arr = np.asarray(weights, dtype=_I64)
         rule_ids = np.flatnonzero(weights_arr[1 : layout.num_rules]).astype(_I64) + 1
         rules, starts, ends = layout.partition(scheduler, rule_ids, layout.rule_lengths[rule_ids])
 
@@ -1062,7 +1151,7 @@ def sequence_counts_vec(
             weight = int(weights[rule_id])
             if weight == 0 or end <= start:
                 continue
-            skeleton = _rule_skeleton(cache, layout, buffers, rule_id)
+            skeleton = _skeleton(skeletons, layout, buffers, rule_id)
             body_length = int(layout.rule_lengths[rule_id])
             extended_end = min(body_length, end + overlap)
             num_elements, num_windows, valid_rows = _windows_for_span(
@@ -1080,10 +1169,7 @@ def sequence_counts_vec(
             if num_valid:
                 key_parts.append(skeleton.words[valid_rows[:, None] + window_offsets])
                 weight_parts.append(np.full(num_valid, weight, dtype=_I64))
-        rule_launch = (num_threads, ops, mem)
-        device.launch_bulk(
-            "sequenceRuleKernel", num_threads, thread_ops=ops, thread_memory_bytes=mem
-        )
+        rule_launch = _Launch(num_threads, ops, mem)
 
     # Root segments, chunked exactly like the scalar path.
     chunk = max(32, int(scheduler.oversize_threshold * max(1.0, layout.average_rule_length)))
@@ -1100,7 +1186,7 @@ def sequence_counts_vec(
     num_threads = max(1, len(root_work))
     ops = np.zeros(num_threads, dtype=_F64)
     mem = np.zeros(num_threads, dtype=_F64)
-    root_skeleton = _root_skeleton(cache, layout, buffers) if root_work else None
+    root_skeleton = _skeleton(skeletons, layout, buffers, 0) if root_work else None
     for tid, (file_index, start, end) in enumerate(root_work):
         _segment_start, segment_end = layout.root_segments[file_index]
         extended_end = min(segment_end, end + overlap)
@@ -1117,10 +1203,7 @@ def sequence_counts_vec(
         if num_valid:
             key_parts.append(root_skeleton.words[valid_rows[:, None] + window_offsets])
             weight_parts.append(np.ones(num_valid, dtype=_I64))
-    root_launch = (num_threads, ops, mem)
-    device.launch_bulk(
-        "sequenceRootKernel", num_threads, thread_ops=ops, thread_memory_bytes=mem
-    )
+    root_launch = _Launch(num_threads, ops, mem)
 
     if key_parts:
         mat = np.concatenate(key_parts, axis=0)
@@ -1128,102 +1211,55 @@ def sequence_counts_vec(
     else:
         mat = np.zeros((0, sequence_length), dtype=_I64)
         values = np.zeros(0, dtype=_I64)
-    stream = None
-    if allowed is None:
-        stream = {
-            "weights": weights_arr,
-            "rule_launch": rule_launch,
-            "root_launch": root_launch,
-            "mat": mat,
-            "values": values,
-        }
-        cache["stream"] = stream
-    return _sequence_merge(layout, device, mat, values, sequence_length, stream=stream)
+    rows, inverse, order = _intern_grams(mat, sequence_length, layout.vocabulary_size)
 
-
-def _sequence_merge(
-    layout: DeviceRuleLayout,
-    device: GPUDevice,
-    mat: np.ndarray,
-    values: np.ndarray,
-    sequence_length: int,
-    stream: Optional[Dict] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fold the window stream into interned (first-occurrence ordered)
-    keys, then replay the global-table merge kernel.
-
-    The interning geometry (which window row maps to which unique key,
-    and the first-occurrence key order) is a pure function of the
-    window stream, so when a cached ``stream`` is supplied it is
-    computed once and reattached; only the per-query sums and the
-    merge-kernel replay stay live.
-    """
-    geom = stream.get("merge_geom") if stream is not None else None
-    if geom is not None:
-        inv, order, num_unique, rows = geom
-        num_entries = len(rows)
-        if num_entries:
-            sums = np.bincount(inv, weights=values, minlength=num_unique).astype(_I64)
-            ordered_sums = sums[order]
-        else:
-            ordered_sums = np.zeros(0, dtype=_I64)
-    elif len(mat):
-        # Valid windows never contain gap markers, so every entry of
-        # ``mat`` is a word id in ``[0, vocabulary_size)``.  When the
-        # packed key fits an int64, collapse each l-gram row to a single
-        # integer: 1-D ``np.unique`` is several times faster than the
-        # row-wise (``axis=0``) form.
-        base = max(2, int(layout.vocabulary_size))
-        if base ** sequence_length < (1 << 62):
-            packed = mat[:, 0].copy()
-            for column in range(1, sequence_length):
-                packed *= base
-                packed += mat[:, column]
-            uniq, first_idx, inv = np.unique(
-                packed, return_index=True, return_inverse=True
-            )
-            unique_rows = mat[first_idx]
-        else:
-            uniq, first_idx, inv = np.unique(
-                mat, axis=0, return_index=True, return_inverse=True
-            )
-            unique_rows = uniq
-        inv = np.asarray(inv, dtype=_I64).reshape(-1)
-        order = np.argsort(first_idx, kind="stable")
-        sums = np.bincount(inv, weights=values, minlength=len(first_idx)).astype(_I64)
-        ordered_sums = sums[order]
-        rows = unique_rows[order]
-        num_entries = len(rows)
-        if stream is not None:
-            stream["merge_geom"] = (inv, order, len(first_idx), rows)
-    else:
-        rows = np.zeros((0, sequence_length), dtype=_I64)
-        ordered_sums = np.zeros(0, dtype=_I64)
-        num_entries = 0
-        if stream is not None:
-            stream["merge_geom"] = (np.zeros(0, dtype=_I64), np.zeros(0, dtype=_I64), 0, rows)
-
+    # The global-table merge: one thread per distinct gram.
+    num_entries = len(rows)
     num_threads = max(1, num_entries)
-    num_buckets, capacity = _table_geometry(max(1, num_entries))
-    hash_ops, hash_mem, conflicts, _out_keys, out_vals = _hash_program(
-        np.arange(num_entries, dtype=_I64), ordered_sums, num_buckets, capacity
+    table = _hash_geometry(
+        np.arange(num_entries, dtype=_I64), *_table_geometry(max(1, num_entries))
     )
     ops = np.zeros(num_threads, dtype=_F64)
     mem = np.zeros(num_threads, dtype=_F64)
     atomics = np.zeros(num_threads, dtype=_F64)
     if num_entries:
-        ops[:num_entries] = wc.HASH_UPDATE_OPS + hash_ops
-        mem[:num_entries] = wc.HASH_UPDATE_BYTES + hash_mem
+        ops[:num_entries] = wc.HASH_UPDATE_OPS + table.ops
+        mem[:num_entries] = wc.HASH_UPDATE_BYTES + table.mem
         atomics[:num_entries] = 1.0
-    device.launch_bulk(
-        "sequenceMergeKernel",
-        num_threads,
-        thread_ops=ops,
-        thread_memory_bytes=mem,
-        thread_atomic_ops=atomics,
-        atomic_conflicts=conflicts,
-    )
-    return rows, out_vals
+    merge_launch = _Launch(num_threads, ops, mem, atomics, table.conflicts)
+    return _SequencePlan(rule_launch, root_launch, merge_launch, rows, inverse, order, values)
+
+
+def _intern_grams(
+    mat: np.ndarray, sequence_length: int, vocabulary_size: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intern the window rows of ``mat``: ``(distinct grams, inverse, order)``.
+
+    The grams come in first-occurrence order; ``inverse`` maps each
+    window, and ``order`` each gram, to its index among the sorted grams.
+    """
+    if not len(mat):
+        empty = np.zeros(0, dtype=_I64)
+        return np.zeros((0, sequence_length), dtype=_I64), empty, empty
+    # Valid windows never contain gap markers, so every entry of ``mat``
+    # is a word id in ``[0, vocabulary_size)``.  When the packed key fits
+    # an int64, collapse each l-gram row to a single integer: 1-D
+    # ``np.unique`` is several times faster than the row-wise
+    # (``axis=0``) form.
+    base = max(2, int(vocabulary_size))
+    if base ** sequence_length < (1 << 62):
+        packed = mat[:, 0].copy()
+        for column in range(1, sequence_length):
+            packed *= base
+            packed += mat[:, column]
+        _uniq, first_idx, inverse = np.unique(packed, return_index=True, return_inverse=True)
+        unique_rows = mat[first_idx]
+    else:
+        unique_rows, first_idx, inverse = np.unique(
+            mat, axis=0, return_index=True, return_inverse=True
+        )
+    order = np.argsort(first_idx, kind="stable")
+    return unique_rows[order], np.asarray(inverse, dtype=_I64).reshape(-1), order
 
 
 # ----------------------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Dict, List
 __all__ = ["CostCounter", "KernelStats", "GpuRunRecord", "PhaseTiming"]
 
 
-@dataclass
+@dataclass(slots=True)
 class CostCounter:
     """Abstract work performed by a (CPU-side) computation."""
 
@@ -86,7 +86,7 @@ class CostCounter:
         return result
 
 
-@dataclass
+@dataclass(slots=True)
 class KernelStats:
     """Work performed by one simulated GPU kernel launch."""
 
@@ -127,7 +127,7 @@ class KernelStats:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class GpuRunRecord:
     """All kernel launches of one G-TADOC phase plus host-side control work."""
 
@@ -166,7 +166,7 @@ class GpuRunRecord:
         return sum(kernel.warp_serial_ops for kernel in self.kernels)
 
 
-@dataclass
+@dataclass(slots=True)
 class PhaseTiming:
     """Modelled seconds of the two TADOC execution phases."""
 

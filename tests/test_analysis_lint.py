@@ -115,6 +115,56 @@ class TestGoldenBadExamples:
         assert finding.path == "repro/core/traversal.py"
         assert "'orphanKernel'" in finding.message
 
+    def test_kernel_memo_store_on_a_parameter(self, tmp_path):
+        root = _mini_repo(tmp_path, {
+            "repro/core/vectorized.py": """
+                def reduce_vec(layout, device, tables):
+                    geometry = build(layout, tables)
+                    layout.reduce_geom = (tables, geometry)
+                    device.launch_bulk("reduceKernel", 8)
+                    return geometry
+            """,
+        })
+        findings = run_lint(root, rules=["kernel-memo"])
+        assert len(findings) == 1
+        (finding,) = findings
+        assert finding.path == "repro/core/vectorized.py"
+        assert finding.line == 4
+        assert "'layout'" in finding.message
+
+    def test_kernel_memo_allows_stores_on_locals_and_self(self, tmp_path):
+        root = _mini_repo(tmp_path, {
+            "repro/core/vectorized.py": """
+                class Skeleton:
+                    def __init__(self, words):
+                        self.words = words
+
+
+                def weights_vec(layout, device):
+                    matrix = layout.zeros()
+                    matrix[: layout.num_files] = 1
+                    result = FileWeights()
+                    result.dense = matrix
+                    return layout.memo("weights", (), lambda: result)
+            """,
+        })
+        assert run_lint(root, rules=["kernel-memo"]) == []
+
+    def test_kernel_memo_setattr(self, tmp_path):
+        root = _mini_repo(tmp_path, {
+            "repro/core/vectorized.py": """
+                def sequence_vec(layout, buffers):
+                    cache = {}
+                    setattr(buffers, "skeletons", cache)
+                    return cache
+            """,
+        })
+        findings = run_lint(root, rules=["kernel-memo"])
+        assert len(findings) == 1
+        (finding,) = findings
+        assert finding.line == 4
+        assert "setattr" in finding.message
+
     def test_plan_coverage_unregistered_task(self, tmp_path):
         root = _mini_repo(tmp_path, {
             "repro/analytics/base.py": """
@@ -374,6 +424,7 @@ class TestFullRepo:
                 "determinism",
                 "epoch-guard",
                 "kernel-discipline",
+                "kernel-memo",
                 "lock-order",
                 "plan-coverage",
             ]

@@ -130,6 +130,14 @@ class TestExecutionMetadata:
         outcome = few_files_engine.run(Task.WORD_COUNT)
         assert outcome.scheduler_summary["rules"] == few_files_engine.layout.num_rules
 
+    def test_scheduler_summary_is_a_copy_per_batch(self, few_files_engine):
+        first = few_files_engine.run_fused([Task.WORD_COUNT])
+        first.scheduler_summary["rules"] = -1.0
+        first.scheduler_summary.clear()
+        second = few_files_engine.run_fused([Task.WORD_COUNT])
+        assert second.scheduler_summary["rules"] == few_files_engine.layout.num_rules
+        assert second.scheduler_summary is not first.scheduler_summary
+
     def test_atomic_traffic_recorded(self, few_files_engine):
         outcome = few_files_engine.run(Task.WORD_COUNT, traversal=TraversalStrategy.TOP_DOWN)
         assert sum(kernel.atomic_ops for kernel in outcome.traversal_record.kernels) > 0

@@ -13,6 +13,10 @@ own side produced upstream, and asserts
   kernel's :class:`~repro.perf.counters.KernelStats` in launch order, the
   host counter and the PCIe bytes.
 
+Every count kernel's bulk port runs three times, each on a fresh
+device: the first call fills the layout's kernel memo and the later two
+replay it, and each call must match the reference.
+
 The count kernels return integer columns where their references return
 dicts; :func:`_as_dicts` puts a bulk result in the reference's format.
 Word and gram counts must also list their keys in the reference's
@@ -146,16 +150,25 @@ class _Oracle:
     def __init__(self) -> None:
         self.compared: Set[str] = set()
 
-    def __call__(self, label: str, reference: Callable, bulk: Callable, as_reference=None):
-        ref_device, bulk_device = GPUDevice(), GPUDevice()
+    def __call__(
+        self, label: str, reference: Callable, bulk: Callable, as_reference=None, calls: int = 1
+    ):
+        """Compare ``calls`` bulk calls, each on a fresh device, with one reference call.
+
+        A count kernel is called three times: the first call fills the
+        layout's memo, and the later ones must replay it exactly.
+        """
+        ref_device = GPUDevice()
         expected = reference(ref_device)
-        got = bulk(bulk_device)
-        if as_reference is not None:
-            got = as_reference(got)
-            if isinstance(expected, dict):
-                assert list(got) == list(expected), f"{label}: key orders differ"
-        assert got == expected, f"{label}: results differ"
-        assert bulk_device.record == ref_device.record, f"{label}: records differ"
+        for call in range(calls):
+            bulk_device = GPUDevice()
+            got = bulk(bulk_device)
+            if as_reference is not None:
+                got = as_reference(got)
+                if isinstance(expected, dict):
+                    assert list(got) == list(expected), f"{label}, call {call}: key orders differ"
+            assert got == expected, f"{label}, call {call}: results differ"
+            assert bulk_device.record == ref_device.record, f"{label}, call {call}: records differ"
         self.compared.update(kernel.name for kernel in ref_device.record.kernels)
         return expected, got
 
@@ -200,6 +213,7 @@ def test_bulk_kernels_match_their_reference(key):
         lambda device: traversal.bottomup_word_count(layout, device, local_tables=ref_tables),
         lambda device: vectorized.bottomup_word_count_reduce(layout, device, bulk_tables),
         as_dicts,
+        calls=3,
     )
     for subset in subsets:
         oracle(
@@ -211,6 +225,7 @@ def test_bulk_kernels_match_their_reference(key):
                 layout, device, bulk_tables, subset
             ),
             as_dicts,
+            calls=3,
         )
 
     # Top-down family (Algorithm 1).
@@ -224,6 +239,7 @@ def test_bulk_kernels_match_their_reference(key):
         lambda device: traversal.topdown_word_count(layout, scheduler, device, weights=ref_weights),
         lambda device: vectorized.topdown_word_count_reduce(layout, scheduler, device, bulk_weights),
         as_dicts,
+        calls=3,
     )
     ref_file_weights, bulk_file_weights = oracle(
         "file weights",
@@ -240,6 +256,7 @@ def test_bulk_kernels_match_their_reference(key):
                 layout, scheduler, device, bulk_file_weights, subset
             ),
             as_dicts,
+            calls=3,
         )
 
     # Sequence counting (Figure 8); the head/tail buffers have no bulk port.
@@ -260,6 +277,7 @@ def test_bulk_kernels_match_their_reference(key):
                     layout, scheduler, device, buffers, bulk_input, length, subset
                 ),
                 as_dicts,
+                calls=3,
             )
 
     # Relational parse, assembly, filter and aggregate.
