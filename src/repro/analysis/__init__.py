@@ -6,10 +6,10 @@ Two halves, one hierarchy:
   (``python -m repro.cli lint``) whose rules check the invariants this
   codebase's correctness rests on: lock-order
   (:mod:`~repro.analysis.rules_lock_order`), kernel discipline
-  (:mod:`~repro.analysis.rules_kernels`), the bulk kernels' memo
-  (:mod:`~repro.analysis.rules_kernel_memo`), plan/backend coverage
-  (:mod:`~repro.analysis.rules_plans`) and compute-path determinism
-  (:mod:`~repro.analysis.rules_determinism`).
+  (:mod:`~repro.analysis.rules_kernels`), the bulk kernels' memo and
+  the stateless shaper (:mod:`~repro.analysis.rules_kernel_memo`),
+  plan/backend coverage (:mod:`~repro.analysis.rules_plans`) and
+  compute-path determinism (:mod:`~repro.analysis.rules_determinism`).
 * :mod:`repro.analysis.lockcheck` — an opt-in runtime lock-order
   witness (``REPRO_LOCK_WITNESS=1``) that turns the existing
   concurrency test suites into a deadlock sanitizer pass.

@@ -1,4 +1,4 @@
-"""Kernel-memo rule: bulk kernels keep no state on the objects they are given.
+"""Kernel-memo rule: kernels and the shaper keep no state on what they are given.
 
 The bulk kernels of ``core/vectorized.py`` are functions of a layout, a
 scheduler, a device and session state.  Whatever they derive for reuse
@@ -6,13 +6,18 @@ across queries lives in one place, the layout's memo
 (:meth:`~repro.core.layout.DeviceRuleLayout.memo`), whose entries are
 used only while their inputs are the very objects the caller passes; a
 later corpus delta can then carry kernel caches forward in one place.
+The id-space shaper of ``analytics/encoded.py`` keeps nothing across
+queries at all: every request shapes its result in full, so a shaping
+gain comes from less work per request, never from a hidden result cache.
 
-This rule flags, in ``repro/core/vectorized.py``, every store to an
-attribute of a function parameter (``layout.cache = ...``,
-``buffers.rows[key] = ...``) and every ``setattr`` call.  A method's
-stores on its own ``self`` build that object, and stores on locals
-(``result.dense = matrix``) build the kernel's return value; neither is
-flagged.
+This rule flags, in both modules, every store to an attribute of a
+function parameter (``layout.cache = ...``, ``buffers.rows[key] =
+...``), every ``setattr`` and ``__setattr__`` call (the way into a
+frozen dataclass such as ``EncodedResult``) and every ``functools``
+caching decorator (``cache``, ``lru_cache``, ``cached_property``).  A
+method's stores on its own ``self`` build that object, and stores on
+locals (``result.dense = matrix``) build the function's return value;
+neither is flagged.
 """
 
 from __future__ import annotations
@@ -24,7 +29,14 @@ from repro.analysis.lint import Finding, Project, SourceFile, rule
 
 RULE = "kernel-memo"
 
-_KERNEL_MODULE = "repro/core/vectorized.py"
+#: Each checked module, with where its derived state belongs instead.
+_MODULES = {
+    "repro/core/vectorized.py": "memoize it with layout.memo(...) or keep it in session state",
+    "repro/analytics/encoded.py": "shaping keeps nothing across queries; derive it per call",
+}
+
+#: ``functools`` decorators that keep results across calls.
+_CACHING_DECORATORS = frozenset({"cache", "lru_cache", "cached_property"})
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
@@ -73,11 +85,29 @@ def _store_targets(node: ast.AST) -> List[ast.AST]:
     return targets
 
 
-def _check(source: SourceFile) -> List[Finding]:
+def _decorator_name(decorator: ast.AST) -> Optional[str]:
+    """``lru_cache`` for ``@lru_cache``, ``@functools.lru_cache(maxsize=8)`` and the like."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    if isinstance(decorator, ast.Attribute):
+        return decorator.attr
+    if isinstance(decorator, ast.Name):
+        return decorator.id
+    return None
+
+
+def _check(source: SourceFile, advice: str) -> List[Finding]:
     findings: List[Finding] = []
 
     def visit(node: ast.AST, parameters: Set[str], in_class: bool) -> None:
         for child in ast.iter_child_nodes(node):
+            for decorator in getattr(child, "decorator_list", ()):
+                name = _decorator_name(decorator)
+                if name in _CACHING_DECORATORS:
+                    findings.append(source.finding(
+                        RULE, decorator,
+                        f"@{name} keeps results across calls; {advice}",
+                    ))
             if isinstance(child, _FUNCTIONS):
                 own = _parameters(child, in_class and not isinstance(child, ast.Lambda))
                 visit(child, parameters | own, False)
@@ -91,8 +121,7 @@ def _check(source: SourceFile) -> List[Finding]:
                     findings.append(source.finding(
                         RULE, child,
                         f"store on parameter {name!r} keeps state on an object the "
-                        f"kernel was given; memoize it with layout.memo(...) or keep "
-                        f"it in session state",
+                        f"function was given; {advice}",
                     ))
             if (
                 isinstance(child, ast.Call)
@@ -103,8 +132,7 @@ def _check(source: SourceFile) -> List[Finding]:
             ):
                 findings.append(source.finding(
                     RULE, child,
-                    "setattr in a bulk kernel module; memoize derived state with "
-                    "layout.memo(...) or keep it in session state",
+                    f"setattr keeps state on an existing object; {advice}",
                 ))
             visit(child, parameters, False)
 
@@ -112,7 +140,15 @@ def _check(source: SourceFile) -> List[Finding]:
     return findings
 
 
-@rule(RULE, "bulk kernels store nothing on the objects they are given; reuse goes through layout.memo")
+@rule(
+    RULE,
+    "bulk kernels and the id-space shaper store nothing on the objects they are given "
+    "and cache nothing; kernel reuse goes through layout.memo",
+)
 def check(project: Project) -> List[Finding]:
-    source = project.file(_KERNEL_MODULE)
-    return _check(source) if source is not None else []
+    findings: List[Finding] = []
+    for path, advice in _MODULES.items():
+        source = project.file(path)
+        if source is not None:
+            findings += _check(source, advice)
+    return findings

@@ -13,10 +13,38 @@ word's rank in ``sorted()`` order (:attr:`Dictionary.lexical_ranks`),
 and ties on a file name on the file's rank in name order, so no sort
 ever compares strings.  Word ids follow first occurrence, not string
 order, so they never break a tie themselves.
+
+Per-file rows
+-------------
+The per-file tasks' rows arrive sorted by ``(file, word id)``, the row
+order :mod:`repro.core.vectorized` documents for its per-file count
+kernels (a terms filter keeps it), and the three per-file shapers build
+on that order instead of re-sorting it:
+
+* a walk over the files in name order is one stable argsort of the
+  rows' file-name ranks, which is linear when the file indices already
+  follow name order, as they do on every Table II analogue;
+* a word's *first-seen rank*, the position of its first row in a walk,
+  is one scatter of row positions (``np.minimum.at``) into an array
+  indexed by word id, with no ``np.unique``;
+* each result is ordered by one argsort of a packed int64 key:
+  ``(first-seen rank, name rank)`` for the inverted index (over the
+  name-order walk), ``(first-seen rank, -count, name rank)`` for the
+  ranked inverted index (over the rows as they arrive) and ``(file,
+  -count, lexical rank)`` for a term vector's top-k cut.
+
+Every key's parts tell its rows apart, so the order is unique and the
+argsort need not be stable.  A key packs its parts mixed-radix, each
+part in ``[0, bound)`` with bounds from the row count, the file count,
+the vocabulary and the largest count, when the product of the bounds is
+below ``2**63``; the Table II analogues at scale 0.5 need at most 29
+bits.  A wider key falls back to ``np.lexsort`` over the parts, which
+gives the same order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -28,6 +56,12 @@ from repro.compression.dictionary import Dictionary
 __all__ = ["EncodedResult"]
 
 _I64 = np.int64
+
+#: A packed key's parts must span fewer values than this (int64 keys from 0).
+_KEY_SPAN = 1 << 63
+
+#: One part of a packed sort key: values, all in ``[0, bound)``.
+_KeyPart = Tuple[np.ndarray, int]
 
 
 def _ranked(counts: np.ndarray, ties: Sequence[np.ndarray], top_k: Optional[int]) -> np.ndarray:
@@ -45,6 +79,35 @@ def _ranked(counts: np.ndarray, ties: Sequence[np.ndarray], top_k: Optional[int]
         ties = [tie[rows] for tie in ties]
     order = np.lexsort((*reversed(ties), -counts))[:top_k]
     return order if rows is None else rows[order]
+
+
+def _packed_order(parts: Sequence[_KeyPart]) -> np.ndarray:
+    """Row order by ``parts``, compared left to right.
+
+    The parts must tell every row apart.  They pack into one int64 key
+    sorted by one argsort when the product of their bounds is below
+    ``2**63``; otherwise ``np.lexsort`` orders the rows by the parts.
+    """
+    if math.prod(bound for _values, bound in parts) >= _KEY_SPAN:
+        return np.lexsort([values for values, _bound in reversed(parts)])
+    key = parts[0][0]
+    for values, bound in parts[1:]:
+        key = key * bound + values
+    return np.argsort(key)
+
+
+def _descending(counts: np.ndarray) -> _KeyPart:
+    """A key part that puts the highest count first."""
+    top = int(counts.max()) if len(counts) else 0
+    return top - counts, top + 1
+
+
+def _first_seen(words: np.ndarray, vocabulary: int) -> _KeyPart:
+    """Per row, the position of the first row with its word (one scatter)."""
+    rows = np.arange(len(words), dtype=_I64)
+    first = np.full(vocabulary, len(words), dtype=_I64)
+    np.minimum.at(first, words, rows)
+    return first[words], len(words)
 
 
 def _group_starts(keys: np.ndarray) -> np.ndarray:
@@ -150,7 +213,12 @@ class EncodedResult:
     ) -> TaskResult:
         if top_k is not None:
             # Each file's highest counts, ties broken by word.
-            order = np.lexsort((self.dictionary.lexical_ranks[words], -counts, files))
+            lexical = self.dictionary.lexical_ranks
+            order = _packed_order((
+                (files, len(self.file_names)),
+                _descending(counts),
+                (lexical[words], len(lexical)),
+            ))
             files, words, counts = files[order], words[order], counts[order]
             keep = _first_k_of_each_group(files, top_k)
             files, words, counts = files[keep], words[keep], counts[keep]
@@ -168,11 +236,14 @@ class EncodedResult:
     def _inverted_index(self, files: np.ndarray, words: np.ndarray, top_k: Optional[int]) -> TaskResult:
         # Words appear in the order a walk over the files in name order
         # meets them; each posting list is in name order.
-        by_name = np.lexsort((words, self._file_name_ranks()[files]))
-        files, words = files[by_name], words[by_name]
-        _uniq, first, inverse = np.unique(words, return_index=True, return_inverse=True)
-        grouped = np.argsort(first[inverse], kind="stable")
-        files, words = files[grouped], words[grouped]
+        ranks = self._file_name_ranks()[files]
+        walk = np.argsort(ranks, kind="stable")
+        files, words, ranks = files[walk], words[walk], ranks[walk]
+        order = _packed_order((
+            _first_seen(words, self.dictionary.num_words),
+            (ranks, len(self.file_names)),
+        ))
+        files, words = files[order], words[order]
         if top_k is not None:
             keep = _first_k_of_each_group(words, top_k)
             files, words = files[keep], words[keep]
@@ -189,8 +260,11 @@ class EncodedResult:
     ) -> TaskResult:
         # Words appear in first-occurrence order of the (file, word) rows;
         # each posting list is by count descending, then file name.
-        _uniq, first, inverse = np.unique(words, return_index=True, return_inverse=True)
-        order = np.lexsort((self._file_name_ranks()[files], -counts, first[inverse]))
+        order = _packed_order((
+            _first_seen(words, self.dictionary.num_words),
+            _descending(counts),
+            (self._file_name_ranks()[files], len(self.file_names)),
+        ))
         files, words, counts = files[order], words[order], counts[order]
         if top_k is not None:
             keep = _first_k_of_each_group(words, top_k)

@@ -211,12 +211,10 @@ def _sequence_counts(
     buffers = session.state(sequence_buffers_key(length))
     if params.filtered:
         file_weights = session.state(FILE_WEIGHTS)
-        allowed = set(params.file_indices)
-        weights = [
-            sum(count for file_index, count in per_rule.items() if file_index in allowed)
-            for per_rule in file_weights
-        ]
-        # Deriving the restricted weights is host-side control work.
+        matrix = vectorized.dense_file_weights(session.layout, file_weights)
+        weights = matrix[:, list(params.file_indices)].sum(axis=1)
+        # Deriving the restricted weights is host-side control work: one
+        # op per (rule, file) weight.
         device.record.host_counter.charge(
             compute_ops=float(sum(len(per_rule) for per_rule in file_weights)),
             memory_bytes=8.0 * len(file_weights),

@@ -39,6 +39,12 @@ shape results in id space and decode last
 * sequence counts: ``(gram rows, counts)``, an ``(n, l)`` array of word
   ids in first-occurrence order.
 
+The per-file row order is a contract: the shaper orders the three
+per-file tasks with one packed-key argsort that builds on it (a walk in
+name order, first-seen ranks by one scatter) instead of re-sorting the
+rows, and ``tests/test_encoded_shaping.py`` checks it under both
+strategies, with and without a file subset, and after a delta sync.
+
 Their references return the same content as dicts (a list of per-file
 dicts for per-file counts); the oracle converts between the two.
 
@@ -72,8 +78,11 @@ replace them, also retire it; the layout itself lives for one epoch.
 The first query of an epoch fills an entry by doing the per-query work,
 and later ones run only the fold and the launches.  File-subset queries
 bypass the memo and build their launches and geometry per query.  The
-functions here keep no other state across calls (lint rule
-``kernel-memo``).
+session-state arrays they read are memoized the same way where the state
+does not carry them: a delta sync's plain-list file weights and local
+tables get their dense matrix (:func:`dense_file_weights`) and table
+arrays once per epoch.  The functions here keep no other state across
+calls (lint rule ``kernel-memo``).
 """
 
 from __future__ import annotations
@@ -92,6 +101,7 @@ __all__ = [
     "data_structure_prep",
     "compute_rule_weights",
     "compute_file_weights",
+    "dense_file_weights",
     "topdown_word_count_reduce",
     "topdown_per_file_counts_vec",
     "prepare_bottomup_vec",
@@ -307,12 +317,26 @@ class FileWeights(list):
     dense: Optional[np.ndarray] = None
 
 
-def _dense_file_weights(
+def dense_file_weights(
     layout: DeviceRuleLayout, file_weights: Sequence[Dict[int, int]]
 ) -> np.ndarray:
+    """``file_weights`` as the ``[num_rules, num_files]`` int64 matrix.
+
+    :func:`compute_file_weights` returns it with its tables; tables
+    without it (a delta sync's plain lists) fill it once per state
+    object, through the layout's memo.
+    """
     dense = getattr(file_weights, "dense", None)
     if dense is not None:
         return dense
+    return layout.memo(
+        "dense file weights", (file_weights,), lambda: _fill_dense_file_weights(layout, file_weights)
+    )
+
+
+def _fill_dense_file_weights(
+    layout: DeviceRuleLayout, file_weights: Sequence[Dict[int, int]]
+) -> np.ndarray:
     matrix = np.zeros((layout.num_rules, layout.num_files), dtype=_I64)
     for rule_id, table in enumerate(file_weights):
         for file_index, weight in table.items():
@@ -542,7 +566,7 @@ def topdown_per_file_counts_vec(
     counts)`` sorted by ``(file, word id)``.
     """
     if file_indices is not None:
-        matrix = _dense_file_weights(layout, file_weights)
+        matrix = dense_file_weights(layout, file_weights)
         allowed_order = sorted(frozenset(file_indices))
         allowed_cols = np.asarray(allowed_order, dtype=_I64)
         sub = matrix[:, allowed_cols] if len(allowed_cols) else matrix[:, :0]
@@ -593,7 +617,7 @@ def _topdown_files_plan(
     file_weights: Sequence[Dict[int, int]],
 ) -> Tuple[Optional[_Launch], _Launch, _FileRows]:
     """The unfiltered pair's launches and the rows of every file."""
-    matrix = _dense_file_weights(layout, file_weights)
+    matrix = dense_file_weights(layout, file_weights)
     rules, starts, ends = layout.assignments(scheduler, "file")
     reduce_launch = None
     if len(rules):
@@ -715,12 +739,24 @@ class LocalTables(list):
 
 
 def _table_arrays(
-    local_tables: Sequence[Dict[int, int]]
+    layout: DeviceRuleLayout, local_tables: Sequence[Dict[int, int]]
 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Each table's keys and values as arrays, in the table's order.
+
+    :func:`build_local_tables_vec` returns them with its tables; tables
+    without them (a delta sync's plain lists) list them once per state
+    object, through the layout's memo.
+    """
     keys = getattr(local_tables, "key_arrays", None)
     vals = getattr(local_tables, "val_arrays", None)
     if keys is not None and vals is not None:
         return keys, vals
+    return layout.memo("table arrays", (local_tables,), lambda: _list_table_arrays(local_tables))
+
+
+def _list_table_arrays(
+    local_tables: Sequence[Dict[int, int]]
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
     keys = [np.asarray(list(t.keys()), dtype=_I64) for t in local_tables]
     vals = [np.asarray(list(t.values()), dtype=_I64) for t in local_tables]
     return keys, vals
@@ -842,7 +878,7 @@ def bottomup_word_count_reduce(
 def _bottomup_corpus_plan(
     layout: DeviceRuleLayout, local_tables: Sequence[Dict[int, int]]
 ) -> _ReducePlan:
-    key_arrays, val_arrays = _table_arrays(local_tables)
+    key_arrays, val_arrays = _table_arrays(layout, local_tables)
     num_threads = 1 + len(layout.level2_child)
 
     # Charge-order op stream: the root's own terminal words (thread 0),
@@ -902,7 +938,7 @@ def _bottomup_files_plan(
     files: Sequence[int],
 ) -> Tuple[_Launch, _FileRows]:
     """One thread per file of ``files``: its launch and the files' rows."""
-    key_arrays, val_arrays = _table_arrays(local_tables)
+    key_arrays, val_arrays = _table_arrays(layout, local_tables)
     table_sizes = np.asarray([len(k) for k in key_arrays], dtype=_I64)
     num_threads = max(1, len(files))
     ops = np.zeros(num_threads, dtype=_F64)

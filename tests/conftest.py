@@ -8,14 +8,18 @@ them.
 from __future__ import annotations
 
 import asyncio
+import random
 import threading
 import time
 from typing import List
 
 import pytest
 
+from repro.analytics.base import Task
 from repro.analytics.reference import UncompressedAnalytics
 from repro.compression.compressor import compress_corpus
+from repro.core.engine import GTadoc
+from repro.core.strategy import TraversalStrategy
 from repro.data.corpus import Corpus, Document
 from repro.data.generators import generate_dataset, list_datasets
 from repro.serve import TraceConfig
@@ -79,6 +83,46 @@ def many_files_compressed(many_files_corpus):
 @pytest.fixture(scope="session")
 def few_files_compressed(few_files_corpus):
     return compress_corpus(few_files_corpus)
+
+
+def _renamed(corpus: Corpus, names: List[str]) -> Corpus:
+    return Corpus([Document(name, doc.text) for name, doc in zip(names, corpus)], name=corpus.name)
+
+
+@pytest.fixture(scope="session")
+def out_of_name_order(many_files_corpus):
+    """``label -> (compressed, engine)``: corpora whose file indices are not in name order.
+
+    The many-files corpus with its file names reversed or shuffled, and a
+    shuffled copy after three appends out of name order, delta-synced on
+    its engine.  ``fresh0`` occurs twice in each appended file, a count
+    tie that name order breaks against index order; ``old`` and ``older``
+    are words of the first file.
+    """
+    names = [doc.name for doc in many_files_corpus]
+    shuffled = list(names)
+    random.Random(3).shuffle(shuffled)
+    cases = {}
+    for label, renamed in (("reversed", names[::-1]), ("shuffled", shuffled)):
+        compressed = compress_corpus(_renamed(many_files_corpus, renamed))
+        cases[label] = (compressed, GTadoc(compressed))
+
+    random.Random(11).shuffle(shuffled)
+    compressed = compress_corpus(_renamed(many_files_corpus, shuffled))
+    engine = GTadoc(compressed)
+    for strategy in TraversalStrategy:
+        engine.run_fused(Task.all(), traversal=strategy)
+    old, older = next(iter(many_files_corpus)).tokens[:2]
+    compressed.append_files({
+        "live-1": f"fresh0 fresh1 fresh0 fresh1 {old}",
+        "live-0": f"fresh0 fresh2 fresh1 fresh0 fresh2 {older}",
+        "a_file_00004-live": f"fresh2 fresh0 fresh0 {old}",
+    })
+    assert engine.session.sync_with_corpus() == "delta"
+    cases["appended"] = (compressed, engine)
+    for compressed, _engine in cases.values():
+        assert list(compressed.file_names) != sorted(compressed.file_names)
+    return cases
 
 
 @pytest.fixture(scope="session")

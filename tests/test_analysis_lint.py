@@ -165,6 +165,61 @@ class TestGoldenBadExamples:
         assert finding.line == 4
         assert "setattr" in finding.message
 
+    def test_kernel_memo_store_on_the_frozen_encoded_result(self, tmp_path):
+        root = _mini_repo(tmp_path, {
+            "repro/analytics/encoded.py": """
+                @dataclass(frozen=True)
+                class EncodedResult:
+                    def shape(self, terms=None, top_k=None):
+                        shaped = self._shape(terms, top_k)
+                        object.__setattr__(self, "last_shape", shaped)
+                        return shaped
+            """,
+        })
+        findings = run_lint(root, rules=["kernel-memo"])
+        assert len(findings) == 1
+        (finding,) = findings
+        assert finding.path == "repro/analytics/encoded.py"
+        assert finding.line == 6
+        assert "setattr" in finding.message and "across queries" in finding.message
+
+    def test_kernel_memo_caching_decorator(self, tmp_path):
+        root = _mini_repo(tmp_path, {
+            "repro/analytics/encoded.py": """
+                import functools
+
+
+                @functools.lru_cache(maxsize=64)
+                def _file_name_ranks(file_names):
+                    return sorted(range(len(file_names)), key=file_names.__getitem__)
+            """,
+            "repro/core/vectorized.py": """
+                from functools import cache
+
+
+                @cache
+                def _table_geometry(expected_keys):
+                    return expected_keys, 2 * expected_keys
+            """,
+        })
+        findings = {finding.path: finding for finding in run_lint(root, rules=["kernel-memo"])}
+        assert sorted(findings) == ["repro/analytics/encoded.py", "repro/core/vectorized.py"]
+        assert findings["repro/analytics/encoded.py"].line == 5
+        assert "@lru_cache" in findings["repro/analytics/encoded.py"].message
+        assert findings["repro/core/vectorized.py"].line == 5
+        assert "@cache" in findings["repro/core/vectorized.py"].message
+
+    def test_kernel_memo_allows_stores_on_shaper_locals(self, tmp_path):
+        root = _mini_repo(tmp_path, {
+            "repro/analytics/encoded.py": """
+                def _name_array(file_names):
+                    names = np.empty(len(file_names), dtype=object)
+                    names[:] = file_names
+                    return names
+            """,
+        })
+        assert run_lint(root, rules=["kernel-memo"]) == []
+
     def test_plan_coverage_unregistered_task(self, tmp_path):
         root = _mini_repo(tmp_path, {
             "repro/analytics/base.py": """

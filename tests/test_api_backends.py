@@ -433,12 +433,15 @@ def test_backend_matrix_shapes_like_reference(backends, tiny_compressed, name, t
         _assert_same_shape(backends[name].run(query).result, expected, query.describe())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_id_space_shaping_equals_string_shaping(few_files_compressed, data):
+def test_id_space_shaping_equals_string_shaping(few_files_compressed, out_of_name_order, data):
     """Shaping G-TADOC's id-space output equals shaping its decoded result,
-    key order included, and the shaped answer equals the reference's."""
-    compressed = few_files_compressed
+    key order included, and the shaped answer equals the reference's, on
+    files in name order and on corpora whose file indices are not."""
+    corpora = {"few_files": few_files_compressed}
+    corpora.update((label, compressed) for label, (compressed, _engine) in out_of_name_order.items())
+    compressed = corpora[data.draw(st.sampled_from(sorted(corpora)))]
     vocabulary = compressed.dictionary.decode_array.tolist()
     task = data.draw(st.sampled_from(Task.all()))
     top_k = data.draw(st.none() | st.integers(1, 40))

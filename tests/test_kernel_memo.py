@@ -10,7 +10,10 @@ only the value fold and the launches.  These tests check that
 * results and records equal a cold engine's whenever the session state
   a memo entry was built from is replaced: after ``invalidate()``,
   after ``configure()`` to another ``oversize_threshold``, on two fresh
-  sessions sharing one layout, and after an append and its delta sync.
+  sessions sharing one layout, and after an append and its delta sync;
+* after a delta sync, whose file weights and local tables are plain
+  lists, file-subset queries fill the dense file-weight matrix and list
+  the table arrays once per epoch.
 
 ``tests/test_kernel_oracle.py`` compares the memoized kernels with
 their per-thread references on warm calls.
@@ -54,19 +57,24 @@ def corpora():
     return {key: compress_corpus(generate_dataset(key, scale=0.05)) for key in "ABCDE"}
 
 
-@pytest.fixture
-def geometry_builds(monkeypatch):
-    """Counts calls of each geometry step."""
+def count_calls(monkeypatch, module, names) -> Counter:
+    """Counts calls of each of ``module``'s functions ``names``."""
     calls: Counter = Counter()
-    for name in GEOMETRY_STEPS:
-        step = getattr(vectorized, name)
+    for name in names:
+        step = getattr(module, name)
 
         def counted(*args, _step=step, _name=name, **kwargs):
             calls[_name] += 1
             return _step(*args, **kwargs)
 
-        monkeypatch.setattr(vectorized, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def geometry_builds(monkeypatch):
+    """Counts calls of each geometry step."""
+    return count_calls(monkeypatch, vectorized, GEOMETRY_STEPS)
 
 
 def _snapshot(batch, construction=True):
@@ -171,3 +179,49 @@ def test_memo_after_an_append_and_its_delta_sync():
         cold = GTadoc(compressed)
         expected = [_replay(cold, construction=False) for _ in range(2)]
         assert [_replay(engine, construction=False) for _ in range(2)] == expected, key
+
+
+#: Per-query subset programs: each per-file task under both strategies,
+#: and sequence count, whose restricted weights come from the file weights.
+SUBSET_QUERIES = [
+    {"tasks": [task], "traversal": strategy}
+    for task in (Task.INVERTED_INDEX, Task.TERM_VECTOR, Task.RANKED_INVERTED_INDEX)
+    for strategy in TraversalStrategy
+] + [{"tasks": [Task.SEQUENCE_COUNT], "sequence_length": length} for length in (2, 3)]
+
+
+@pytest.fixture
+def session_array_builds(monkeypatch):
+    """Counts fills of the dense file weights and listings of the table arrays."""
+    return count_calls(monkeypatch, vectorized, ("_fill_dense_file_weights", "_list_table_arrays"))
+
+
+@pytest.mark.parametrize("key", "ABCDE")
+def test_subset_queries_after_a_delta_build_session_arrays_once(key, session_array_builds):
+    """A delta sync's file weights and local tables are plain lists; file-subset
+    queries build their dense matrix and table arrays once per epoch."""
+    compressed = compress_corpus(generate_dataset(key, scale=0.05))
+    engine = GTadoc(compressed)
+    _replay(engine)
+    compressed.append_files({"appended.txt": "fresh0 fresh1 fresh2 fresh0 fresh1 fresh3"})
+    assert engine.session.sync_with_corpus() == "delta"
+    last = len(compressed.file_names) - 1
+    subsets = [sorted({0, last}), [last]]
+
+    session_array_builds.clear()
+    got = [
+        _snapshot(engine.run_fused(file_indices=files, **query), construction=False)
+        for _ in range(2)
+        for files in subsets
+        for query in SUBSET_QUERIES
+    ]
+    assert session_array_builds == {"_fill_dense_file_weights": 1, "_list_table_arrays": 1}
+
+    cold = GTadoc(compressed)
+    expected = [
+        _snapshot(cold.run_fused(file_indices=files, **query), construction=False)
+        for _ in range(2)
+        for files in subsets
+        for query in SUBSET_QUERIES
+    ]
+    assert got == expected
